@@ -4,8 +4,8 @@ Replication indices are split into fixed-size chunks before any
 scheduling decision, each chunk is evaluated by a pure top-level function
 of its index range, and results are concatenated in chunk order.  The
 output is therefore bit-identical for any worker count; LRD_CP_THREADS
-caps the workers (default: hardware parallelism), and a single worker
-short-circuits to in-process evaluation.
+caps the workers (default: the CPUs this process may run on), and a
+single worker short-circuits to in-process evaluation.
 """
 
 import os
@@ -16,15 +16,20 @@ CHUNK_SIZE = 500
 
 
 def worker_count():
+    """Pool size: LRD_CP_THREADS if set (an integer >= 1), else usable CPUs."""
     env = os.environ.get("LRD_CP_THREADS")
     if env is not None:
         try:
             requested = int(env)
         except ValueError:
+            requested = 0
+        if requested < 1:
             raise ValueError(
-                f"LRD_CP_THREADS must be an integer, got {env!r}"
-            ) from None
-        return max(1, requested)
+                f"LRD_CP_THREADS must be an integer >= 1, got {env!r}"
+            )
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -39,4 +44,5 @@ def chunked_map(func, tasks):
     if workers <= 1:
         return [func(task) for task in tasks]
     with Pool(workers) as pool:
-        return pool.map(func, tasks)
+        # one chunk per dispatch, so workers finish within a chunk of each other
+        return pool.map(func, tasks, chunksize=1)

@@ -114,32 +114,53 @@ def build_sampler(params):
     )
 
 
-def _generator(master_seed, replication, stream):
+def _philox_state(master_seed, replication, stream):
+    """Fresh Philox state for the key of one (seed, replication, stream).
+
+    Counter 0 and an empty output buffer: exactly the state of a Philox
+    constructed with ``key=[seed word, key_hi]``, without the OS entropy a
+    constructor reads.  The key list is converted the way that constructor
+    converts it (``np.asarray(key).astype(np.uint64)``, which rounds a
+    seed word >= 2**63 through float64), so every seed draws the same
+    normals as a generator constructed with its key.
+    """
     key_hi = ((stream & 0xFFFF) << 48) | (replication & _REP_MASK)
-    return np.random.Generator(
-        np.random.Philox(key=[master_seed & _KEY_MASK, key_hi])
-    )
+    key = np.asarray([master_seed & _KEY_MASK, key_hi]).astype(np.uint64)
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     """Draw one fGn series per replication index; shape (len, n).
 
     Row r is a pure function of (params, master_seed, replications[r],
-    stream), independent of how the indices are grouped into blocks.
+    stream), independent of how the indices are grouped into blocks.  One
+    Philox generator serves the block: its state is reset to each
+    replication's key before that row's normals are drawn.
     """
     m = sampler.embedding_size
     n = sampler.params.length
     reps = list(replications)
     weights = np.sqrt(sampler.spectral_weights)
+    bit_generator = np.random.Philox()
+    generator = np.random.Generator(bit_generator)
+    w = np.empty((len(reps), 2 * m))
+    for i, rep in enumerate(reps):
+        bit_generator.state = _philox_state(master_seed, rep, stream)
+        generator.standard_normal(out=w[i])
     # spectral amplitudes: one complex row per replication
     amps = np.empty((len(reps), m + 1), dtype=np.complex128)
     root_2m = np.sqrt(2.0 * m)
     root_m = np.sqrt(float(m))
-    for i, rep in enumerate(reps):
-        w = _generator(master_seed, rep, stream).standard_normal(2 * m)
-        amps[i, 0] = root_2m * weights[0] * w[0]
-        amps[i, m] = root_2m * weights[m] * w[1]
-        amps[i, 1:m] = root_m * weights[1:m] * (w[2 : m + 1] + 1j * w[m + 1 :])
+    amps[:, 0] = root_2m * weights[0] * w[:, 0]
+    amps[:, m] = root_2m * weights[m] * w[:, 1]
+    amps[:, 1:m] = root_m * weights[1:m] * (w[:, 2 : m + 1] + 1j * w[:, m + 1 :])
     return np.fft.irfft(amps, 2 * m, axis=-1)[:, :n]
 
 

@@ -14,17 +14,16 @@ Expanding the squares turns each G_n(k) into a constant-time expression
 in the profile moments; the whole scan is O(n) after ranking.
 
 ``naive_gn_oracle`` is an independent transcription of the definition
-(explicit running sums of centered ranks), kept as a cross-check; the
-fast path must agree with it to floating-point accuracy.
+(counted midranks, explicit running sums of centered ranks), kept as a
+cross-check; the fast path must agree with it to floating-point accuracy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .rankstat import TimeSeries, build_profile, deviation_profile
+from .rankstat import TimeSeries, build_profile, deviation_profile, rankdata
 
 #: scale factor of the degenerate-denominator threshold
 DEN_TOL = 1e-12
@@ -127,7 +126,7 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
     d = np.zeros((batch, n + 1))
     num_scale = 0.0
     if use_ranks:
-        cumsum = np.cumsum(rankdata(values, method="average", axis=-1), axis=-1)
+        cumsum = np.cumsum(rankdata(values), axis=-1)
         d[:, 1:] = t[1:] * (n + 1) / 2.0 - cumsum
     else:
         cumsum = np.cumsum(values, axis=-1)
@@ -202,14 +201,19 @@ def sn_cusum_statistic(series, window=TestWindow(), critical_value=None):
 
 
 def naive_gn_oracle(series, k):
-    """Direct transcription of the G_n(k) definition; O(n) per split.
+    """Direct transcription of the G_n(k) definition; O(n^2) per call.
 
-    Test oracle only (exercised for n <= 500): computes the centered-rank
-    running sums literally instead of through the profile moments.
+    Test oracle only (exercised for n <= 500): computes the midranks by
+    O(n^2) counting, R_i = #{j : x_j < x_i} + (#{j : x_j == x_i} + 1) / 2,
+    and the centered-rank running sums literally instead of through the
+    profile moments, so it shares no code with the fast path.
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(np.asarray(series, dtype=np.float64))
-    ranks = rankdata(series.values, method="average")
+    x = series.values
+    below = (x[np.newaxis, :] < x[:, np.newaxis]).sum(axis=1)
+    equal = (x[np.newaxis, :] == x[:, np.newaxis]).sum(axis=1)
+    ranks = below + (equal + 1) / 2.0
     n = series.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split k must lie in [1, {n - 1}], got {k}")

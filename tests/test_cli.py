@@ -254,6 +254,25 @@ class TestCriticalValuesCommand:
         assert "reps" in capsys.readouterr().err
 
 
+class TestThreadEnvironment:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_worker_count_is_runtime_error(self, value, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.setenv("LRD_CP_THREADS", value)
+        code = main(
+            [
+                "critical-values", "--hurst", "0.8", "--grid", "100",
+                "--reps", "150", "--seed", "21",
+                "--out", str(tmp_path / "cv.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: LRD_CP_THREADS must be an integer >= 1, got {value!r}\n"
+        )
+
+
 class TestExperimentCommand:
     def test_size_smoke_to_stdout(self, cv_file, capsys):
         code = main(

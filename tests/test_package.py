@@ -1,0 +1,67 @@
+"""Tests of the package as a whole: runtime imports and traced attributes."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import lrdcp
+from lrdcp import _parallel, cli, limitdist, montecarlo, sntest
+
+REPO = Path(__file__).resolve().parent.parent
+TRACING = REPO / "bench" / "tracing.py"
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    src = str(Path(lrdcp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, lrdcp, lrdcp.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_wraps_existing_attributes(tmp_path):
+    tracing = _load_tracing()
+    originals = {
+        (module, name): getattr(module, name)
+        for module, name in [
+            (sntest, "rankdata"), (sntest, "build_profile"),
+            (cli, "tn_statistic"), (cli, "read_series"), (cli, "main"),
+            (limitdist, "build_sampler"), (limitdist, "sample_fgn_block"),
+            (limitdist, "batch_tn_from_values"),
+            (montecarlo, "build_sampler"), (montecarlo, "sample_fgn_block"),
+            (montecarlo, "batch_tn_from_values"),
+            (_parallel, "chunked_map"),
+        ]
+    }
+    tracer = tracing.Tracer(tmp_path / "spool")
+    try:
+        tracer.install()  # raises AttributeError for a missing attribute
+        for (module, name), original in originals.items():
+            assert getattr(module, name) is not original, name
+        # the rank kernel must reach the ranking through sntest.rankdata
+        rows = np.random.default_rng(0).normal(size=(3, 40))
+        sntest.batch_tn_from_values(rows, 6, 34, use_ranks=True)
+        ranked = [s for s in tracer.spans if s["name"] == "sntest.rankdata"]
+        assert [span["attrs"] for span in ranked] == [{"rows": 3}]
+    finally:
+        tracer.uninstall()
+    for (module, name), original in originals.items():
+        assert getattr(module, name) is original, name

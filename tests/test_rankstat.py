@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lrdcp import RankProfile, TimeSeries, build_profile, compute_ranks
-from lrdcp.rankstat import deviation_profile
+from lrdcp.rankstat import deviation_profile, rankdata
 
 
 def brute_two_sample_sums(values):
@@ -72,6 +73,54 @@ class TestComputeRanks:
             n = int(rng.integers(4, 60))
             x = rng.integers(0, 5, size=n).astype(np.float64)
             assert compute_ranks(x).sum() == n * (n + 1) / 2
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def rank_rows(n, rng):
+    """Rows covering every ranking case: tie-free, tied, all equal, signed zero."""
+    zeros = rng.choice([-0.0, 0.0], size=n)
+    zeros[: n // 2] = rng.normal(size=n // 2)
+    return np.stack([
+        rng.normal(size=n),
+        rng.integers(0, max(2, n // 4), size=n).astype(np.float64),
+        np.round(rng.normal(size=n), 1),
+        np.full(n, -1.5),
+        rng.choice([-0.0, 0.0], size=n),
+        zeros,
+    ])
+
+
+class TestRankdata:
+    @pytest.mark.parametrize("n", [4, 5, 17, 100, 1000, 20_000])
+    def test_batch_matches_scipy_bit_for_bit(self, n):
+        rows = rank_rows(n, np.random.default_rng(n))
+        assert_same_bits(
+            rankdata(rows), stats.rankdata(rows, method="average", axis=-1)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 100, 1000, 20_000])
+    def test_single_rows_match_scipy_bit_for_bit(self, n):
+        for row in rank_rows(n, np.random.default_rng(n + 1)):
+            assert_same_bits(rankdata(row), stats.rankdata(row, method="average"))
+
+    def test_batch_of_tie_free_rows_matches_scipy(self):
+        rows = np.random.default_rng(2).normal(size=(50, 500))
+        assert_same_bits(
+            rankdata(rows), stats.rankdata(rows, method="average", axis=-1)
+        )
+
+    def test_tie_flag_matches_distinct_count(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(4, 60))
+            x = rng.integers(0, 2 * n, size=n).astype(np.float64)
+            expected = np.unique(x).shape[0] < n
+            assert build_profile(TimeSeries(x)).tie_flag == expected
 
 
 class TestBuildProfile:
