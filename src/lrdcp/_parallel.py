@@ -14,6 +14,13 @@ from multiprocessing import Pool
 #: replications per chunk; fixed so results never depend on worker count
 CHUNK_SIZE = 500
 
+#: bytes of one row block inside a chunk.  The fGn draw and the batch
+#: statistic kernel walk a chunk in blocks of rows sized so that a
+#: block's temporaries stay in a core's L2 cache.  Every row is computed
+#: by the same expressions whatever block it falls in, so this size never
+#: changes an output bit.
+BLOCK_BYTES = 1 << 18
+
 
 def worker_count():
     """Pool size: LRD_CP_THREADS if set (an integer >= 1), else usable CPUs."""

@@ -8,9 +8,10 @@ sample), ``critical-values`` (simulate the limit distribution),
 
 Machine-consumable first: results go to stdout as JSON unless --out is
 given.  Exit codes: 0 success, 1 runtime error, 2 usage error.  A JSON
-config file (--config) may supply any long flag by its underscored name;
-explicit flags win.  Randomized subcommands either take --seed or draw
-one and record it in the output, so every run is replayable.
+config file (--config) may supply any long flag by its underscored name,
+its value parsed as that flag's command-line text; explicit flags win.
+Randomized subcommands either take --seed (an integer in [0, 2**63)) or
+draw one and record it in the output, so every run is replayable.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .montecarlo import (
 )
 from .rankstat import TimeSeries
 from .sntest import TestWindow, tn_statistic
-from .fgn import FgnParams, build_sampler, sample_fgn
+from .fgn import FgnParams, build_sampler, check_seed, sample_fgn
 
 _KIND_ALIASES = {
     "size": "size",
@@ -66,6 +67,14 @@ def read_series(path):
 
 def _auto_seed():
     return secrets.randbits(63)
+
+
+def _seed_arg(text):
+    """argparse type of --seed: an integer in [0, 2**63)."""
+    try:
+        return check_seed(int(text), "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(payload, out=None):
@@ -112,6 +121,11 @@ def _load_cv(parser, args, window, seed):
                 f"critical-value table window ({table.window.tau1}, "
                 f"{table.window.tau2}) does not match requested window "
                 f"({window.tau1}, {window.tau2})"
+            )
+        if table.hurst != args.hurst:
+            raise ValueError(
+                f"critical-value table is for hurst={table.hurst}, "
+                f"requested hurst={args.hurst}"
             )
         return table, "file"
     spec = LimitSimSpec(
@@ -289,14 +303,15 @@ def build_parser():
     sub.add_argument("--level", type=float, default=0.05)
     _add_window_flags(sub)
     sub.add_argument("--cv", help="critical-value table JSON (else simulated)")
-    sub.add_argument("--seed", type=int, help="seed for simulated critical values")
+    sub.add_argument("--seed", type=_seed_arg,
+                     help="seed for simulated critical values")
     sub.add_argument("--out", help="write the JSON verdict here instead of stdout")
     sub.set_defaults(handler=cmd_test)
 
     sub = register("generate-fgn", help="sample fGn to a file")
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0, 1)")
     sub.add_argument("--length", type=int, required=True)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_generate_fgn)
 
@@ -308,7 +323,7 @@ def build_parser():
     sub.add_argument("--reps", type=int, default=10000)
     _add_window_flags(sub)
     sub.add_argument("--levels", default="0.10,0.05,0.01")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", help="write the table JSON here instead of stdout")
     sub.set_defaults(handler=cmd_critical_values)
 
@@ -326,7 +341,7 @@ def build_parser():
     sub.add_argument("--level", type=float, default=0.05)
     sub.add_argument("--reps", type=int, default=5000)
     _add_window_flags(sub)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--cv", help="critical-value table JSON (else simulated)")
     sub.add_argument("--out", help="write results here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -340,7 +355,7 @@ def build_parser():
     sub.add_argument("--scale", type=float, default=1.0,
                      help="replication-count multiplier (floor 200)")
     _add_window_flags(sub)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=_seed_arg)
     sub.set_defaults(handler=cmd_reproduce_tables)
 
     return parser
@@ -361,15 +376,33 @@ def _apply_config(parser, args, argv):
         for token in argv
         if token.startswith("--")
     }
+    actions = {
+        action.dest: action
+        for action in parser._command_parsers[args.command]._actions
+    }
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        action = actions.get(attr)
+        if attr in explicit or action is None or not hasattr(args, attr):
             continue
-        sub = parser._command_parsers.get(args.command)
-        default = sub.get_default(attr) if sub is not None else None
-        if getattr(args, attr) == default:
-            setattr(args, attr, value)
+        if getattr(args, attr) == action.default:
+            setattr(args, attr, _config_value(parser, args.config, key, value,
+                                              action))
     return args
+
+
+def _config_value(parser, path, key, value, action):
+    """Parse a config value as the flag's command-line text would be."""
+    try:
+        value = (action.type or str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(f"config {path}: {key}: {exc}")
+    if action.choices is not None and value not in action.choices:
+        parser.error(
+            f"config {path}: {key}: {value!r} is not one of "
+            f"{sorted(action.choices)}"
+        )
+    return value
 
 
 def main(argv=None):

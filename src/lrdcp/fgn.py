@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
+
 _KEY_MASK = (1 << 64) - 1
 _REP_MASK = (1 << 48) - 1
 _MAX_DOUBLINGS = 4
@@ -34,6 +36,10 @@ EIG_TOL = 1e-8
 STREAM_DIRECT = 0
 STREAM_LIMIT = 1
 STREAM_EXPERIMENT = 2
+
+#: master seeds lie in [0, SEED_LIMIT): NumPy converts a larger seed word
+#: of a list key through float64, so such seeds would share their draws
+SEED_LIMIT = 1 << 63
 
 
 def fgn_autocovariance(hurst, lags):
@@ -57,6 +63,13 @@ def fgn_autocovariance(hurst, lags):
     if np.ndim(lags) == 0:
         return float(gam)
     return gam
+
+
+def check_seed(seed, name="master_seed"):
+    """Return ``seed`` if 0 <= seed < 2**63, else raise ValueError."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"{name} must lie in [0, 2**63), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -141,27 +154,38 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
 
     Row r is a pure function of (params, master_seed, replications[r],
     stream), independent of how the indices are grouped into blocks.  One
-    Philox generator serves the block: its state is reset to each
-    replication's key before that row's normals are drawn.
+    Philox generator serves the call: its state is reset to each
+    replication's key before that row's normals are drawn.  Rows go
+    through the draw, the amplitudes and the inverse FFT in blocks of
+    about ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal
+    and one amplitude buffer.
     """
     m = sampler.embedding_size
     n = sampler.params.length
     reps = list(replications)
     weights = np.sqrt(sampler.spectral_weights)
-    bit_generator = np.random.Philox()
-    generator = np.random.Generator(bit_generator)
-    w = np.empty((len(reps), 2 * m))
-    for i, rep in enumerate(reps):
-        bit_generator.state = _philox_state(master_seed, rep, stream)
-        generator.standard_normal(out=w[i])
-    # spectral amplitudes: one complex row per replication
-    amps = np.empty((len(reps), m + 1), dtype=np.complex128)
     root_2m = np.sqrt(2.0 * m)
     root_m = np.sqrt(float(m))
-    amps[:, 0] = root_2m * weights[0] * w[:, 0]
-    amps[:, m] = root_2m * weights[m] * w[:, 1]
-    amps[:, 1:m] = root_m * weights[1:m] * (w[:, 2 : m + 1] + 1j * w[:, m + 1 :])
-    return np.fft.irfft(amps, 2 * m, axis=-1)[:, :n]
+    bit_generator = np.random.Philox()
+    generator = np.random.Generator(bit_generator)
+    block = max(1, min(len(reps), _parallel.BLOCK_BYTES // (16 * m)))
+    w = np.empty((block, 2 * m))
+    # spectral amplitudes: one complex row per replication
+    amps = np.empty((block, m + 1), dtype=np.complex128)
+    out = np.empty((len(reps), n))
+    for lo in range(0, len(reps), block):
+        block_reps = reps[lo : lo + block]
+        wb, ab = w[: len(block_reps)], amps[: len(block_reps)]
+        for i, rep in enumerate(block_reps):
+            bit_generator.state = _philox_state(master_seed, rep, stream)
+            generator.standard_normal(out=wb[i])
+        ab[:, 0] = root_2m * weights[0] * wb[:, 0]
+        ab[:, m] = root_2m * weights[m] * wb[:, 1]
+        ab[:, 1:m] = root_m * weights[1:m] * (
+            wb[:, 2 : m + 1] + 1j * wb[:, m + 1 :]
+        )
+        out[lo : lo + len(ab)] = np.fft.irfft(ab, 2 * m, axis=-1)[:, :n]
+    return out
 
 
 def sample_fgn(sampler, seed):

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel
-from .fgn import STREAM_LIMIT, FgnParams, build_sampler, sample_fgn_block
+from .fgn import (
+    STREAM_LIMIT,
+    FgnParams,
+    build_sampler,
+    check_seed,
+    sample_fgn_block,
+)
 from .sntest import TestWindow, batch_tn_from_values
 
 GENERATOR_ID = "fgn-circulant-embedding/philox"
@@ -59,6 +65,7 @@ class LimitSimSpec:
         if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
             raise ValueError(f"levels must lie strictly in (0, 1), got {levels}")
         object.__setattr__(self, "levels", levels)
+        check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -96,16 +103,59 @@ class CriticalValueTable:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
+        """Parse ``to_json`` output; a malformed payload raises ValueError."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"critical-value table is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError("critical-value table must be a JSON object")
+        for key in ("hurst", "window", "quantiles", "reps", "grid", "seed"):
+            if key not in payload:
+                raise ValueError(f"critical-value table lacks key {key!r}")
+        if not _finite_number(payload["hurst"]):
+            raise ValueError(
+                f"critical-value table hurst must be a number, "
+                f"got {payload['hurst']!r}"
+            )
+        window = payload["window"]
+        if not (isinstance(window, list) and len(window) == 2
+                and all(map(_finite_number, window))):
+            raise ValueError(
+                f"critical-value table window must be two numbers, got {window!r}"
+            )
+        quantiles = payload["quantiles"]
+        if not (isinstance(quantiles, dict) and quantiles and all(
+            _is_level(lv) and _finite_number(q) for lv, q in quantiles.items()
+        )):
+            raise ValueError(
+                "critical-value table quantiles must map levels in (0, 1) to "
+                f"finite numbers, got {quantiles!r}"
+            )
         return cls(
             hurst=payload["hurst"],
-            window=TestWindow(*payload["window"]),
-            quantiles={float(lv): q for lv, q in payload["quantiles"].items()},
+            window=TestWindow(*window),
+            quantiles={float(lv): q for lv, q in quantiles.items()},
             replications=payload["reps"],
             grid_size=payload["grid"],
             master_seed=payload["seed"],
             generator=payload.get("generator", GENERATOR_ID),
         )
+
+
+def _finite_number(value):
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_level(key):
+    try:
+        return 0.0 < float(key) < 1.0
+    except ValueError:
+        return False
 
 
 def _limit_chunk(task):

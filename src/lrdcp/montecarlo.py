@@ -24,7 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _parallel
-from .fgn import STREAM_EXPERIMENT, FgnParams, build_sampler, sample_fgn_block
+from .fgn import (
+    STREAM_EXPERIMENT,
+    FgnParams,
+    build_sampler,
+    check_seed,
+    sample_fgn_block,
+)
 from .limitdist import LimitSimSpec, critical_values
 from .sntest import TestWindow, batch_tn_from_values
 
@@ -69,6 +75,7 @@ class ExperimentSpec:
             raise ValueError(
                 "local_alternative experiments take c, not a fixed delta"
             )
+        check_seed(self.master_seed)
 
     @property
     def shift(self):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from .rankstat import TimeSeries, build_profile, deviation_profile, rankdata
 
 #: scale factor of the degenerate-denominator threshold
@@ -85,23 +86,27 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     rounding residue; rank profiles are exact and pass 0.
     """
     t = np.arange(n + 1, dtype=np.float64)
+    window = slice(k_lo, k_hi + 1)
     prefix_q = np.cumsum(d * d, axis=-1)
-    prefix_td = np.cumsum(t * d, axis=-1)
+    # read only up to k_hi
+    prefix_td = np.cumsum(t[: k_hi + 1] * d[:, : k_hi + 1], axis=-1)
     cum_md = np.cumsum((n - t) * d, axis=-1)
-    suffix_q = prefix_q[:, -1:] - prefix_q
-    suffix_md = cum_md[:, -1:] - cum_md
+    # suffix sums, over the window only: sum_{t>k} = total - sum_{t<=k}
+    suffix_q = prefix_q[:, -1:] - prefix_q[:, window]
+    suffix_md = cum_md[:, -1:] - cum_md[:, window]
 
-    ks = np.arange(k_lo, k_hi + 1)
-    kf = ks.astype(np.float64)
+    kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
     mf = n - kf
-    dk = d[:, ks]
+    dk = d[:, window]
+    dk_k = dk / kf
+    dk_m = dk / mf
     # sum_{t<=k} t^2 and sum_{t>k} (n-t)^2 in closed form
     sum_tsq = kf * (kf + 1.0) * (2.0 * kf + 1.0) / 6.0
     sum_msq = (mf - 1.0) * mf * (2.0 * mf - 1.0) / 6.0
-    first = prefix_q[:, ks] - 2.0 * (dk / kf) * prefix_td[:, ks]
-    first += (dk / kf) ** 2 * sum_tsq
-    second = suffix_q[:, ks] - 2.0 * (dk / mf) * suffix_md[:, ks]
-    second += (dk / mf) ** 2 * sum_msq
+    first = prefix_q[:, window] - 2.0 * dk_k * prefix_td[:, window]
+    first += dk_k**2 * sum_tsq
+    second = suffix_q - 2.0 * dk_m * suffix_md
+    second += dk_m**2 * sum_msq
     denom = first + second
 
     tol = DEN_TOL * n * (1.0 + dk * dk)
@@ -113,14 +118,8 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     return gn, degenerate.any(axis=-1)
 
 
-def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
-    """T_n of each row of a (batch, n) value matrix; the hot loop.
-
-    With ``use_ranks`` the Wilcoxon statistic is computed (midranks per
-    row); without, the CUSUM variant on the raw rows, which is also the
-    discretized limit functional when the rows are fBm increments.
-    """
-    values = np.asarray(values, dtype=np.float64)
+def _tn_rows(values, k_lo, k_hi, use_ranks):
+    """T_n of each row of one (rows, n) block of a batch."""
     batch, n = values.shape
     t = np.arange(n + 1, dtype=np.float64)
     d = np.zeros((batch, n + 1))
@@ -134,6 +133,29 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
         num_scale = np.abs(cumsum).max(axis=-1, keepdims=True)
     gn, _ = _gn_matrix(d, n, k_lo, k_hi, num_scale)
     return gn.max(axis=-1)
+
+
+def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
+    """T_n of each row of a (batch, n) value matrix; the hot loop.
+
+    With ``use_ranks`` the Wilcoxon statistic is computed (midranks per
+    row); without, the CUSUM variant on the raw rows, which is also the
+    discretized limit functional when the rows are fBm increments.  A
+    batch is evaluated in blocks of rows whose (rows, n+1) profile takes
+    about ``_parallel.BLOCK_BYTES``; each row's value is the same in any
+    block.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    batch, n = values.shape
+    block = max(1, _parallel.BLOCK_BYTES // (8 * (n + 1)))
+    if batch <= block:
+        return _tn_rows(values, k_lo, k_hi, use_ranks)
+    return np.concatenate(
+        [
+            _tn_rows(values[lo : lo + block], k_lo, k_hi, use_ranks)
+            for lo in range(0, batch, block)
+        ]
+    )
 
 
 def gn_statistic(profile, k):

@@ -380,6 +380,128 @@ class TestConfigFile:
         assert "bad config" in capsys.readouterr().err
 
 
+class TestSeedArgument:
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 63)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--input", "x.txt", "--hurst", "0.7"],
+            ["generate-fgn", "--hurst", "0.7", "--length", "16", "--out", "x"],
+            ["critical-values", "--hurst", "0.7"],
+            ["experiment", "--kind", "size", "--hurst", "0.7", "--n", "50"],
+            ["reproduce-tables", "--out", "x"],
+        ],
+    )
+    def test_out_of_range_seed_is_usage_error(self, argv, seed, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--seed", seed])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"argument --seed: seed must lie in [0, 2**63), got {seed}"
+        )
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        seed = (1 << 63) - 1
+        code = main(
+            [
+                "generate-fgn", "--hurst", "0.7", "--length", "16",
+                "--seed", str(seed), "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+class TestTableMismatch:
+    def test_table_for_another_hurst_is_runtime_error(self, data_file, cv_file,
+                                                      capsys):
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.6",
+                "--cv", str(cv_file),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: critical-value table is for hurst=0.7, "
+            "requested hurst=0.6\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["[]", '{"quantiles": [1, 2]}', '{"hurst": 0.7}']
+    )
+    def test_malformed_table_is_runtime_error(self, text, data_file, tmp_path,
+                                              capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.7",
+                "--cv", str(bad),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: critical-value table")
+        assert err.count("\n") == 1
+
+
+class TestConfigConversion:
+    def test_string_number_is_converted(self, data_file, cv_file, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hurst": "0.7", "level": "0.1"}))
+        code = main(
+            [
+                "--config", str(cfg), "test", "--input", str(data_file),
+                "--cv", str(cv_file),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hurst"] == 0.7
+        assert payload["level"] == 0.1
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"hurst": "abc"}, "hurst"),
+            ({"hurst": [0.7]}, "hurst"),
+            ({"hurst": 0.7, "seed": -1}, "seed"),
+            ({"hurst": 0.7, "seed": 1.5}, "seed"),
+        ],
+    )
+    def test_unconvertible_value_is_usage_error(self, config, key, data_file,
+                                                tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", str(cfg), "test", "--input", str(data_file)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"lrdcp: error: config {cfg}: {key}:")
+
+    def test_choice_outside_flag_choices_is_usage_error(self, cv_file,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "--config", str(cfg), "experiment", "--kind", "size",
+                    "--hurst", "0.7", "--n", "50", "--cv", str(cv_file),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "format" in capsys.readouterr().err.splitlines()[-1]
+
+
 class TestReproduceTables:
     def test_smoke_run_emits_all_tables(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import lrdcp.fgn as fgn
+from lrdcp import _parallel
 from lrdcp import FgnParams, build_sampler, fgn_autocovariance
 from lrdcp import sample_fbm_grid, sample_fgn, sample_fgn_block
 
@@ -168,6 +169,25 @@ class TestBlockMatchesPerReplicationReference:
         block = sample_fgn_block(sampler, seed, range(3))
         expected = reference_block(sampler, seed, range(3), fgn.STREAM_DIRECT)
         assert block.tobytes() == expected.tobytes()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [100, 1000, 40_000])
+    def test_ragged_last_block_equals_single_draws(self, n):
+        sampler = build_sampler(FgnParams(0.7, n))
+        block = max(1, _parallel.BLOCK_BYTES // (16 * sampler.embedding_size))
+        reps = range(5, 5 + 2 * block + max(1, block // 2))
+        drawn = sample_fgn_block(
+            sampler, 77, reps, stream=fgn.STREAM_EXPERIMENT
+        )
+        single = np.concatenate(
+            [
+                sample_fgn_block(sampler, 77, [rep], stream=fgn.STREAM_EXPERIMENT)
+                for rep in reps
+            ]
+        )
+        assert drawn.shape == (len(reps), n)
+        assert drawn.tobytes() == single.tobytes()
 
 
 class TestFbmGrid:

@@ -163,6 +163,59 @@ class TestTableSerialization:
         assert payload["window"] == [0.15, 0.85]
 
 
+class TestTableValidation:
+    def table_payload(self):
+        table = critical_values(LimitSimSpec(0.7, master_seed=8, **FAST))
+        return json.loads(table.to_json())
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: [], "JSON object"),
+            (lambda p: {k: v for k, v in p.items() if k != "hurst"}, "'hurst'"),
+            (lambda p: {**p, "hurst": "0.7"}, "hurst"),
+            (lambda p: {**p, "window": [0.15]}, "window"),
+            (lambda p: {**p, "window": ["0.15", 0.85]}, "window"),
+            (lambda p: {**p, "quantiles": [1, 2]}, "quantiles"),
+            (lambda p: {**p, "quantiles": {}}, "quantiles"),
+            (lambda p: {**p, "quantiles": {"0.05": None}}, "quantiles"),
+            (lambda p: {**p, "quantiles": {"five": 8.4}}, "quantiles"),
+            (lambda p: {**p, "quantiles": {"1.5": 8.4}}, "quantiles"),
+        ],
+        ids=[
+            "top-level-list", "missing-key", "string-hurst", "short-window",
+            "string-window", "quantile-list", "no-quantiles", "null-quantile",
+            "word-level", "level-above-one",
+        ],
+    )
+    def test_malformed_payload_raises_value_error(self, change, message):
+        text = json.dumps(change(self.table_payload()))
+        with pytest.raises(ValueError, match=message) as excinfo:
+            CriticalValueTable.from_json(text)
+        assert "\n" not in str(excinfo.value)
+
+    def test_non_finite_quantile_rejected(self):
+        payload = self.table_payload()
+        payload["quantiles"]["0.05"] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            CriticalValueTable.from_json(json.dumps(payload))
+
+    def test_not_json(self):
+        with pytest.raises(ValueError, match="not JSON"):
+            CriticalValueTable.from_json("{not json")
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 1 << 63])
+    def test_spec_rejects_seed_outside_range(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            LimitSimSpec(0.7, master_seed=seed, **FAST)
+
+    def test_largest_seed_accepted(self):
+        spec = LimitSimSpec(0.7, master_seed=(1 << 63) - 1, **FAST)
+        assert spec.master_seed == (1 << 63) - 1
+
+
 class TestMonteCarloError:
     def test_quantile_error_halves_with_four_times_the_draws(self):
         # bootstrap spread of the 5% critical value should scale like

@@ -58,6 +58,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="hurst"):
             ExperimentSpec(kind="size", hurst=1.7, n=100, replications=10)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 63])
+    def test_seed_outside_range(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentSpec(
+                kind="size", hurst=0.7, n=100, replications=10,
+                master_seed=seed,
+            )
+
     def test_shift_rule(self):
         power = ExperimentSpec(
             kind="power", hurst=0.7, n=100, replications=10, delta=1.5

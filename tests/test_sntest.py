@@ -15,6 +15,7 @@ from lrdcp import (
     sn_cusum_statistic,
     tn_statistic,
 )
+from lrdcp import _parallel
 from lrdcp.limitdist import LimitSimSpec
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 from lrdcp.sntest import batch_tn_from_values
@@ -200,6 +201,52 @@ class TestBatchKernel:
         for row in range(6):
             single = sn_cusum_statistic(TimeSeries(values[row]))
             assert batch[row] == single.statistic
+
+
+def rows_per_block(n):
+    return max(1, _parallel.BLOCK_BYTES // (8 * (n + 1)))
+
+
+class TestRowBlocks:
+    """Row blocks inside a batch never change a row's value."""
+
+    def assert_matches_unblocked(self, values, use_ranks, monkeypatch):
+        n = values.shape[1]
+        lo, hi = Window().split_range(n)
+        blocked = batch_tn_from_values(values, lo, hi, use_ranks)
+        rows = [
+            batch_tn_from_values(row[np.newaxis], lo, hi, use_ranks)[0]
+            for row in values
+        ]
+        assert blocked.tobytes() == np.array(rows).tobytes()
+        # the whole batch as one block, as before row blocks existed
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 1 << 40)
+        whole = batch_tn_from_values(values, lo, hi, use_ranks)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("use_ranks", [True, False])
+    def test_two_and_a_half_blocks(self, use_ranks, monkeypatch):
+        n = 1000
+        values = np.random.default_rng(41).normal(
+            size=(5 * rows_per_block(n) // 2, n)
+        )
+        assert values.shape[0] % rows_per_block(n) != 0
+        self.assert_matches_unblocked(values, use_ranks, monkeypatch)
+
+    @pytest.mark.parametrize("use_ranks", [True, False])
+    def test_tied_rows_across_a_block_boundary(self, use_ranks, monkeypatch):
+        n = 500
+        edge = rows_per_block(n)
+        values = np.random.default_rng(42).normal(size=(edge + 3, n))
+        values[edge - 2 : edge + 2] = np.round(values[edge - 2 : edge + 2], 1)
+        self.assert_matches_unblocked(values, use_ranks, monkeypatch)
+
+    @pytest.mark.parametrize("use_ranks", [True, False])
+    def test_one_row_per_block(self, use_ranks, monkeypatch):
+        n = 40_000
+        assert rows_per_block(n) == 1
+        values = np.random.default_rng(43).normal(size=(3, n))
+        self.assert_matches_unblocked(values, use_ranks, monkeypatch)
 
 
 class TestOutlierRobustness:
