@@ -14,30 +14,15 @@ from .fgn import (
     FgnSampler,
     build_sampler,
     fgn_autocovariance,
-    sample_fbm_grid,
     sample_fgn,
     sample_fgn_block,
 )
-from .rankstat import (
-    RankProfile,
-    TimeSeries,
-    build_profile,
-    compute_ranks,
-    deviation_profile,
-)
-from .sntest import (
-    TestResult,
-    TestWindow,
-    gn_statistic,
-    naive_gn_oracle,
-    sn_cusum_statistic,
-    tn_statistic,
-)
+from .rankstat import RankProfile, TimeSeries, build_profile
+from .sntest import TestResult, TestWindow, sn_cusum_statistic, tn_statistic
 from .limitdist import (
     CriticalValueTable,
     LimitSimSpec,
     critical_values,
-    limit_statistic_sample,
     simulate_limit_values,
     upper_quantile,
 )
@@ -46,9 +31,7 @@ from .montecarlo import (
     ExperimentResult,
     ExperimentSpec,
     reproduce_tables,
-    run_consistency_sweep,
     run_experiment,
-    run_local_alternative_sweep,
     simulate_statistics,
 )
 
@@ -59,33 +42,25 @@ __all__ = [
     "FgnSampler",
     "build_sampler",
     "fgn_autocovariance",
-    "sample_fbm_grid",
     "sample_fgn",
     "sample_fgn_block",
     "RankProfile",
     "TimeSeries",
     "build_profile",
-    "compute_ranks",
-    "deviation_profile",
     "TestResult",
     "TestWindow",
-    "gn_statistic",
-    "naive_gn_oracle",
     "sn_cusum_statistic",
     "tn_statistic",
     "CriticalValueTable",
     "LimitSimSpec",
     "critical_values",
-    "limit_statistic_sample",
     "simulate_limit_values",
     "upper_quantile",
     "CSV_COLUMNS",
     "ExperimentResult",
     "ExperimentSpec",
     "reproduce_tables",
-    "run_consistency_sweep",
     "run_experiment",
-    "run_local_alternative_sweep",
     "simulate_statistics",
     "__version__",
 ]

@@ -9,7 +9,8 @@ sample), ``critical-values`` (simulate the limit distribution),
 Machine-consumable first: results go to stdout as JSON unless --out is
 given.  Exit codes: 0 success, 1 runtime error, 2 usage error.  A JSON
 config file (--config) may supply any long flag by its underscored name,
-its value parsed as that flag's command-line text; explicit flags win.
+its value parsed as that flag's command-line text; explicit flags win and
+a null value leaves the flag at its default.
 Randomized subcommands either take --seed (an integer in [0, 2**63)) or
 draw one and record it in the output, so every run is replayable.
 """
@@ -227,20 +228,20 @@ def cmd_experiment(parser, args):
         parser.error(f"--n must be an integer or comma list, got {args.n!r}")
     window = _window(parser, args)
     seed = args.seed if args.seed is not None else _auto_seed()
-    cv_table, cv_source = _load_cv(parser, args, window, seed)
-
-    results = []
-    for n in n_list:
-        try:
-            spec = ExperimentSpec(
+    try:
+        specs = [
+            ExperimentSpec(
                 kind=kind, hurst=args.hurst, n=n, replications=args.reps,
                 delta=(args.delta if kind in ("power", "consistency") else 0.0),
                 tau=args.tau, c=args.c, level=args.level, window=window,
                 master_seed=seed,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
-        results.append(run_experiment(spec, cv_table))
+            for n in n_list
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    cv_table, cv_source = _load_cv(parser, args, window, seed)
+    results = [run_experiment(spec, cv_table) for spec in specs]
 
     if args.out and args.format == "csv":
         import csv as csv_module
@@ -383,7 +384,8 @@ def _apply_config(parser, args, argv):
     for key, value in config.items():
         attr = key.replace("-", "_")
         action = actions.get(attr)
-        if attr in explicit or action is None or not hasattr(args, attr):
+        if (value is None or attr in explicit or action is None
+                or not hasattr(args, attr)):
             continue
         if getattr(args, attr) == action.default:
             setattr(args, attr, _config_value(parser, args.config, key, value,

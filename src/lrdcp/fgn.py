@@ -196,13 +196,3 @@ def sample_fgn(sampler, seed):
     """
     return sample_fgn_block(sampler, seed, [0])[0]
 
-
-def sample_fbm_grid(hurst, grid_size, seed):
-    """Fractional Brownian motion B_H(i/N) for i = 1..N, N = grid_size.
-
-    Computed as N^{-H} times the running sum of a length-N fGn sample, by
-    self-similarity; B_H(0) = 0 is implicit.
-    """
-    sampler = build_sampler(FgnParams(hurst, grid_size))
-    increments = sample_fgn(sampler, seed)
-    return np.cumsum(increments) * float(grid_size) ** (-hurst)

@@ -84,7 +84,7 @@ class CriticalValueTable:
         try:
             return self.quantiles[level]
         except KeyError:
-            raise KeyError(
+            raise ValueError(
                 f"missing critical value for level {level}; "
                 f"table holds {sorted(self.quantiles)}"
             ) from None
@@ -166,20 +166,6 @@ def _limit_chunk(task):
     )
     k_lo, k_hi = TestWindow(tau1, tau2).split_range(grid_size)
     return batch_tn_from_values(increments, k_lo, k_hi, use_ranks=False)
-
-
-def limit_statistic_sample(spec, replication_index):
-    """One draw of the discretized limit statistic."""
-    task = (
-        spec.hurst,
-        spec.grid_size,
-        spec.window.tau1,
-        spec.window.tau2,
-        spec.master_seed,
-        replication_index,
-        replication_index + 1,
-    )
-    return float(_limit_chunk(task)[0])
 
 
 def simulate_limit_values(spec):

@@ -75,6 +75,7 @@ class ExperimentSpec:
             raise ValueError(
                 "local_alternative experiments take c, not a fixed delta"
             )
+        self.window.split_range(self.n)
         check_seed(self.master_seed)
 
     @property
@@ -179,38 +180,6 @@ def run_experiment(spec, cv_table):
     start = time.perf_counter()
     values = simulate_statistics(spec)
     return _aggregate(spec, values, cv, time.perf_counter() - start)
-
-
-def run_consistency_sweep(
-    hurst, delta, tau, n_list, replications, level, cv_table, master_seed=0,
-    window=TestWindow(),
-):
-    """Fixed-height alternative across growing n; rates should rise to 1."""
-    results = []
-    for n in n_list:
-        spec = ExperimentSpec(
-            kind="consistency", hurst=hurst, n=n, replications=replications,
-            delta=delta, tau=tau, level=level, window=window,
-            master_seed=master_seed,
-        )
-        results.append(run_experiment(spec, cv_table))
-    return results
-
-
-def run_local_alternative_sweep(
-    hurst, c, tau, n_list, replications, level, cv_table, master_seed=0,
-    window=TestWindow(),
-):
-    """Shrinking alternatives h_n = c * n^{H-1}; rates should stabilize."""
-    results = []
-    for n in n_list:
-        spec = ExperimentSpec(
-            kind="local_alternative", hurst=hurst, n=n,
-            replications=replications, c=c, tau=tau, level=level,
-            window=window, master_seed=master_seed,
-        )
-        results.append(run_experiment(spec, cv_table))
-    return results
 
 
 # grids of the standard report tables

@@ -7,8 +7,10 @@ functional all reduce to one object: the deviation profile
 
 whose absolute value equals the two-sample Wilcoxon double sum
 |sum_{i<=k} sum_{j>k} (1{X_i <= X_j} - 1/2)| when there are no ties.
-Prefix and suffix moments of d make every normalizer term evaluable in
-constant time.
+``deviation_rows`` is the one place d is built, for a block of rows of
+ranks or of raw values; ``sntest._gn_matrix``, the one G_n
+implementation, reads everything else from d.  The direct oracle it is
+checked against counts its own midranks and lives in ``tests/_oracle.py``.
 """
 
 import math
@@ -47,30 +49,18 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Ranks, deviation profile d, and its prefix/suffix moments.
+    """Rank deviation profile d of one series, and whether it has ties.
 
-    ``ranks`` has length n.  The other arrays have length n+1 and are
-    indexed by the time index k = 1..n so formulas read like the math;
-    d and the prefix arrays carry a zero at [0], the suffix arrays hold
-    the full-tail sum there and a zero at [n].
-
-    prefix_q[k]  = sum_{t<=k} d[t]^2
-    prefix_td[k] = sum_{t<=k} t * d[t]
-    suffix_q[k]  = sum_{t>k} d[t]^2
-    suffix_md[k] = sum_{t>k} (n-t) * d[t]
+    ``d`` has length n+1 and is indexed by the time index k = 0..n so
+    formulas read like the math; d[0] = 0.
     """
 
-    ranks: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
-    prefix_q: np.ndarray = field(repr=False)
-    prefix_td: np.ndarray = field(repr=False)
-    suffix_q: np.ndarray = field(repr=False)
-    suffix_md: np.ndarray = field(repr=False)
     tie_flag: bool
 
     @property
     def n(self):
-        return self.ranks.shape[0]
+        return self.d.shape[0] - 1
 
 
 def _midranks(values):
@@ -119,45 +109,29 @@ def rankdata(values):
     return _midranks(values)[0]
 
 
-def compute_ranks(values):
-    """Midranks of the observations: R_i = #{j : X_j <= X_i}, ties averaged.
+def deviation_rows(x, ranked):
+    """Deviation profile d of each row of a (rows, n) block.
 
-    Accepts a TimeSeries or any 1-d array-like.
+    Returns the (rows, n+1) profile, d[:, 0] = 0, and the numerator noise
+    floor scale that ``sntest._gn_matrix`` takes.  Rows of midranks
+    (``ranked``) give d[k] = k(n+1)/2 - sum_{i<=k} R_i, exact in floats,
+    with scale 0.  Rows of raw values give the CUSUM counterpart
+    d[k] = (k/n) sum x - sum_{i<=k} x_i, whose scale is each row's
+    largest absolute partial sum.
     """
-    if isinstance(values, TimeSeries):
-        values = values.values
-    return rankdata(values)
+    rows, n = x.shape
+    t = np.arange(n + 1, dtype=np.float64)
+    d = np.zeros((rows, n + 1))
+    cumsum = np.cumsum(x, axis=-1)
+    if ranked:
+        d[:, 1:] = t[1:] * (n + 1) / 2.0 - cumsum
+        return d, 0.0
+    d[:, 1:] = t[1:] / n * cumsum[:, -1:] - cumsum
+    return d, np.abs(cumsum).max(axis=-1, keepdims=True)
 
 
 def build_profile(series):
-    """Build the RankProfile of a series in one O(n log n) pass."""
+    """The RankProfile of a series: one sort, one cumulative sum."""
     ranks, tied = _midranks(series.values)
-    n = series.n
-    t = np.arange(n + 1, dtype=np.float64)
-    d = np.zeros(n + 1)
-    d[1:] = t[1:] * (n + 1) / 2.0 - np.cumsum(ranks)
-    return RankProfile(ranks, d, *_moments(d, t, n), bool(tied))
-
-
-def deviation_profile(values):
-    """Centered-partial-sum profile of raw values (CUSUM counterpart of d).
-
-    d[k] = (k/n) * sum(values) - sum_{i<=k} values[i], so that the same
-    normalizer algebra applies with observations in place of ranks.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    t = np.arange(n + 1, dtype=np.float64)
-    d = np.zeros(n + 1)
-    cumsum = np.cumsum(values)
-    d[1:] = t[1:] / n * cumsum[-1] - cumsum
-    return d
-
-
-def _moments(d, t, n):
-    prefix_q = np.cumsum(d * d)
-    prefix_td = np.cumsum(t * d)
-    cum_md = np.cumsum((n - t) * d)
-    suffix_q = prefix_q[-1] - prefix_q
-    suffix_md = cum_md[-1] - cum_md
-    return prefix_q, prefix_td, suffix_q, suffix_md
+    d, _ = deviation_rows(ranks[np.newaxis], ranked=True)
+    return RankProfile(d[0], bool(tied))

@@ -11,11 +11,13 @@ against a normalizer built from within-segment partial sums:
 
 and T_n is the maximum of G_n(k) over a trimmed window of splits.
 Expanding the squares turns each G_n(k) into a constant-time expression
-in the profile moments; the whole scan is O(n) after ranking.
+in prefix sums of d; the whole scan is O(n) after ranking.
 
-``naive_gn_oracle`` is an independent transcription of the definition
-(counted midranks, explicit running sums of centered ranks), kept as a
-cross-check; the fast path must agree with it to floating-point accuracy.
+``_gn_matrix`` is the one G_n implementation: batches of rows and single
+series (a batch of one) both go through it, with d from
+``rankstat.deviation_rows``.  An independent O(n^2) transcription of the
+definition, ``naive_gn_oracle`` in ``tests/_oracle.py``, is the oracle the
+kernel must agree with to floating-point accuracy.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .rankstat import TimeSeries, build_profile, deviation_profile, rankdata
+from .rankstat import build_profile, deviation_rows, rankdata
 
 #: scale factor of the degenerate-denominator threshold
 DEN_TOL = 1e-12
@@ -120,18 +122,10 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
 
 def _tn_rows(values, k_lo, k_hi, use_ranks):
     """T_n of each row of one (rows, n) block of a batch."""
-    batch, n = values.shape
-    t = np.arange(n + 1, dtype=np.float64)
-    d = np.zeros((batch, n + 1))
-    num_scale = 0.0
     if use_ranks:
-        cumsum = np.cumsum(rankdata(values), axis=-1)
-        d[:, 1:] = t[1:] * (n + 1) / 2.0 - cumsum
-    else:
-        cumsum = np.cumsum(values, axis=-1)
-        d[:, 1:] = t[1:] / n * cumsum[:, -1:] - cumsum
-        num_scale = np.abs(cumsum).max(axis=-1, keepdims=True)
-    gn, _ = _gn_matrix(d, n, k_lo, k_hi, num_scale)
+        values = rankdata(values)
+    d, num_scale = deviation_rows(values, use_ranks)
+    gn, _ = _gn_matrix(d, values.shape[1], k_lo, k_hi, num_scale)
     return gn.max(axis=-1)
 
 
@@ -158,33 +152,12 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
     )
 
 
-def gn_statistic(profile, k):
-    """G_n(k) from a prebuilt RankProfile in O(1)."""
-    n = profile.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split k must lie in [1, {n - 1}], got {k}")
-    dk = profile.d[k]
-    m = n - k
-    first = (
-        profile.prefix_q[k]
-        - 2.0 * (dk / k) * profile.prefix_td[k]
-        + (dk / k) ** 2 * (k * (k + 1) * (2 * k + 1) / 6.0)
-    )
-    second = (
-        profile.suffix_q[k]
-        - 2.0 * (dk / m) * profile.suffix_md[k]
-        + (dk / m) ** 2 * ((m - 1) * m * (2 * m - 1) / 6.0)
-    )
-    denom = first + second
-    if denom < DEN_TOL * n * (1.0 + dk * dk):
-        return math.inf if abs(dk) > 0.0 else 0.0
-    return abs(dk) / math.sqrt(denom / n)
-
-
-def _result_from_deviations(d, n, window, tie_flag, critical_value,
+def _result_from_deviations(d, window, tie_flag, critical_value,
                             num_scale=0.0):
+    """TestResult of a (1, n+1) profile: a batch of one through _gn_matrix."""
+    n = d.shape[1] - 1
     k_lo, k_hi = window.split_range(n)
-    gn, degenerate = _gn_matrix(d[np.newaxis, :], n, k_lo, k_hi, num_scale)
+    gn, degenerate = _gn_matrix(d, n, k_lo, k_hi, num_scale)
     values = gn[0]
     best = int(np.argmax(values))  # first maximum: smallest-k tie rule
     statistic = float(values[best])
@@ -205,7 +178,7 @@ def tn_statistic(series, window=TestWindow(), critical_value=None):
     """T_n over the window: the self-normalized Wilcoxon test statistic."""
     profile = build_profile(series)
     return _result_from_deviations(
-        profile.d, series.n, window, profile.tie_flag, critical_value
+        profile.d[np.newaxis], window, profile.tie_flag, critical_value
     )
 
 
@@ -215,45 +188,6 @@ def sn_cusum_statistic(series, window=TestWindow(), critical_value=None):
     Shares the limit distribution with the Wilcoxon form but is not rank
     invariant, hence less robust to outliers.
     """
-    d = deviation_profile(series.values)
-    num_scale = float(np.abs(np.cumsum(series.values)).max())
-    return _result_from_deviations(
-        d, series.n, window, False, critical_value, num_scale
-    )
+    d, num_scale = deviation_rows(series.values[np.newaxis], ranked=False)
+    return _result_from_deviations(d, window, False, critical_value, num_scale)
 
-
-def naive_gn_oracle(series, k):
-    """Direct transcription of the G_n(k) definition; O(n^2) per call.
-
-    Test oracle only (exercised for n <= 500): computes the midranks by
-    O(n^2) counting, R_i = #{j : x_j < x_i} + (#{j : x_j == x_i} + 1) / 2,
-    and the centered-rank running sums literally instead of through the
-    profile moments, so it shares no code with the fast path.
-    """
-    if not isinstance(series, TimeSeries):
-        series = TimeSeries(np.asarray(series, dtype=np.float64))
-    x = series.values
-    below = (x[np.newaxis, :] < x[:, np.newaxis]).sum(axis=1)
-    equal = (x[np.newaxis, :] == x[:, np.newaxis]).sum(axis=1)
-    ranks = below + (equal + 1) / 2.0
-    n = series.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split k must lie in [1, {n - 1}], got {k}")
-    # definitional form; exact in floats because midranks are half-integers
-    numerator = abs(k * (n + 1) / 2.0 - ranks[:k].sum())
-
-    mean_first = ranks[:k].mean()
-    total = 0.0
-    accum = 0.0
-    for h in range(k):
-        accum += ranks[h] - mean_first
-        total += accum * accum
-    mean_second = ranks[k:].mean()
-    accum = 0.0
-    for h in range(k, n):
-        accum += ranks[h] - mean_second
-        total += accum * accum
-
-    if total < DEN_TOL * n * (1.0 + numerator * numerator):
-        return math.inf if numerator > 0.0 else 0.0
-    return numerator / math.sqrt(total / n)

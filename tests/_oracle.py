@@ -1,0 +1,57 @@
+"""Direct O(n^2) oracle for G_n(k) and the kernel values it is checked against."""
+
+import math
+
+import numpy as np
+
+from lrdcp.rankstat import TimeSeries, build_profile
+from lrdcp.sntest import DEN_TOL, _gn_matrix
+
+
+def naive_gn_oracle(series, k):
+    """Direct transcription of the G_n(k) definition; O(n^2) per call.
+
+    Test oracle only (exercised for n <= 500): computes the midranks by
+    O(n^2) counting, R_i = #{j : x_j < x_i} + (#{j : x_j == x_i} + 1) / 2,
+    and the centered-rank running sums literally instead of through the
+    profile moments, so it shares no code with the fast path.
+    """
+    if not isinstance(series, TimeSeries):
+        series = TimeSeries(np.asarray(series, dtype=np.float64))
+    x = series.values
+    below = (x[np.newaxis, :] < x[:, np.newaxis]).sum(axis=1)
+    equal = (x[np.newaxis, :] == x[:, np.newaxis]).sum(axis=1)
+    ranks = below + (equal + 1) / 2.0
+    n = series.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"split k must lie in [1, {n - 1}], got {k}")
+    # definitional form; exact in floats because midranks are half-integers
+    numerator = abs(k * (n + 1) / 2.0 - ranks[:k].sum())
+
+    mean_first = ranks[:k].mean()
+    total = 0.0
+    accum = 0.0
+    for h in range(k):
+        accum += ranks[h] - mean_first
+        total += accum * accum
+    mean_second = ranks[k:].mean()
+    accum = 0.0
+    for h in range(k, n):
+        accum += ranks[h] - mean_second
+        total += accum * accum
+
+    if total < DEN_TOL * n * (1.0 + numerator * numerator):
+        return math.inf if numerator > 0.0 else 0.0
+    return numerator / math.sqrt(total / n)
+
+
+def kernel_gn(series, k_lo=1, k_hi=None):
+    """G_n(k) for k = k_lo..k_hi (default every split 1..n-1) from ``_gn_matrix``.
+
+    The rank profile goes through the kernel as a batch of one, exactly
+    as ``tn_statistic`` sends it.
+    """
+    n = series.n
+    d = build_profile(series).d[np.newaxis]
+    gn, _ = _gn_matrix(d, n, k_lo, n - 1 if k_hi is None else k_hi)
+    return gn[0]

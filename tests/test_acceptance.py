@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from _oracle import kernel_gn, naive_gn_oracle
 from lrdcp import (
     ExperimentSpec,
     FgnParams,
@@ -19,10 +20,7 @@ from lrdcp import (
     build_sampler,
     critical_values,
     fgn_autocovariance,
-    gn_statistic,
-    naive_gn_oracle,
     run_experiment,
-    run_local_alternative_sweep,
     sample_fgn,
     sample_fgn_block,
     tn_statistic,
@@ -114,9 +112,9 @@ def test_criterion_05_oracle_equivalence():
     for n in (10, 25, 50, 100, 200):
         for _ in range(50):
             ts = TimeSeries(rng.normal(size=n) * 3.0)
-            profile = build_profile(ts)
+            values = kernel_gn(ts)
             for k in range(1, n):
-                fast = gn_statistic(profile, k)
+                fast = values[k - 1]
                 slow = naive_gn_oracle(ts, k)
                 rel = abs(fast - slow) / max(abs(slow), 1e-300)
                 worst = max(worst, rel)
@@ -181,10 +179,16 @@ def test_criterion_08_consistency_in_n(cv_tables):
 
 
 def test_criterion_09_local_alternative_stability(cv_tables):
-    results = run_local_alternative_sweep(
-        hurst=0.7, c=5.0, tau=0.5, n_list=(200, 500, 1000, 2000),
-        replications=2000, level=0.05, cv_table=cv_tables[0.7], master_seed=0,
-    )
+    results = [
+        run_experiment(
+            ExperimentSpec(
+                kind="local_alternative", hurst=0.7, n=n, replications=2000,
+                c=5.0, tau=0.5, level=0.05, master_seed=0,
+            ),
+            cv_tables[0.7],
+        )
+        for n in (200, 500, 1000, 2000)
+    ]
     rates = [result.rejection_rate for result in results]
     spread = max(rates) - min(rates)
     ok = spread < 0.05

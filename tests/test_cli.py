@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from lrdcp import cli
 from lrdcp.cli import main, read_series
 from lrdcp.montecarlo import CSV_COLUMNS
 
@@ -203,6 +204,22 @@ class TestTestCommand:
         assert "midranks" in captured.err
         assert json.loads(captured.out)["tie_warning"] is True
 
+    def test_missing_level_is_one_unquoted_line(self, data_file, cv_file,
+                                                capsys):
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.7",
+                "--level", "0.025", "--cv", str(cv_file),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: missing critical value for level 0.025; "
+            "table holds [0.01, 0.05, 0.1]\n"
+        )
+
     def test_verdict_written_to_file(self, data_file, cv_file, tmp_path):
         out = tmp_path / "verdict.json"
         code = main(
@@ -326,6 +343,27 @@ class TestExperimentCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)[0]["c"] == 5.0
 
+    @pytest.mark.parametrize(
+        "n_text, message",
+        [("100,2", "n must be at least 4"), ("100,5", "too narrow for n=5")],
+    )
+    def test_every_length_checked_before_simulating(self, n_text, message,
+                                                    monkeypatch, capsys):
+        calls = []
+        for name in ("run_experiment", "critical_values"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "experiment", "--kind", "size", "--hurst", "0.7",
+                    "--n", n_text, "--reps", "40", "--seed", "1",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert calls == []
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("lrdcp: error:") and message in last
+
     def test_power_needs_nonzero_delta(self, cv_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -378,6 +416,34 @@ class TestConfigFile:
         )
         assert code == 1
         assert "bad config" in capsys.readouterr().err
+
+
+class TestConfigNull:
+    """A JSON null leaves its flag at the default."""
+
+    def test_null_seed_draws_and_records_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        code = main(
+            [
+                "--config", str(cfg), "generate-fgn", "--hurst", "0.7",
+                "--length", "16", "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 0
+        seed = json.loads(capsys.readouterr().out)["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 1 << 63
+
+    def test_null_cv_simulates(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cv": None, "seed": None, "hurst": 0.7}))
+        code = main(
+            ["--config", str(cfg), "test", "--input", str(data_file)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cv_source"] == "simulated"
+        assert isinstance(payload["cv_seed"], int)
 
 
 class TestSeedArgument:

@@ -7,7 +7,7 @@ from scipy import stats
 import lrdcp.fgn as fgn
 from lrdcp import _parallel
 from lrdcp import FgnParams, build_sampler, fgn_autocovariance
-from lrdcp import sample_fbm_grid, sample_fgn, sample_fgn_block
+from lrdcp import sample_fgn, sample_fgn_block
 
 
 class TestAutocovariance:
@@ -191,13 +191,6 @@ class TestRowBlocks:
 
 
 class TestFbmGrid:
-    def test_scaling_identity(self):
-        # the path is exactly the scaled running sum of the underlying fGn
-        grid, seed = 512, 17
-        path = sample_fbm_grid(0.7, grid, seed)
-        increments = sample_fgn(build_sampler(FgnParams(0.7, grid)), seed)
-        assert np.array_equal(path, np.cumsum(increments) * float(grid) ** -0.7)
-
     def test_terminal_variance_is_one(self):
         # Var B_H(1) = 1 exactly for every grid, by the fGn sum identity
         grid = 1000

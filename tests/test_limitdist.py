@@ -10,7 +10,6 @@ from lrdcp import (
     CriticalValueTable,
     LimitSimSpec,
     critical_values,
-    limit_statistic_sample,
     simulate_limit_values,
     upper_quantile,
 )
@@ -89,8 +88,12 @@ class TestFunctional:
         spec = LimitSimSpec(0.7, grid_size=150, replications=600, master_seed=5)
         values = simulate_limit_values(spec)
         assert values.shape == (600,)
+        sampler = build_sampler(FgnParams(0.7, 150))
+        k_lo, k_hi = spec.window.split_range(150)
         for rep in (0, 7, 599):
-            assert limit_statistic_sample(spec, rep) == values[rep]
+            increments = sample_fgn_block(sampler, 5, [rep], stream=STREAM_LIMIT)
+            one = batch_tn_from_values(increments, k_lo, k_hi, use_ranks=False)
+            assert one[0] == values[rep]
 
 
 class TestUpperQuantile:
@@ -143,7 +146,7 @@ class TestCriticalValues:
 
     def test_missing_level_message(self):
         table = critical_values(LimitSimSpec(0.7, master_seed=6, **FAST))
-        with pytest.raises(KeyError, match="missing critical value"):
+        with pytest.raises(ValueError, match="missing critical value"):
             table.critical_value(0.025)
 
 

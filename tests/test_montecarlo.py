@@ -10,9 +10,7 @@ from lrdcp import (
     ExperimentSpec,
     LimitSimSpec,
     critical_values,
-    run_consistency_sweep,
     run_experiment,
-    run_local_alternative_sweep,
     simulate_statistics,
 )
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
@@ -198,10 +196,16 @@ class TestLocalAlternative:
         assert run_experiment(spec, cv_table).rejection_rate >= 0.95
 
     def test_sweep_reports_each_length(self, cv_table):
-        results = run_local_alternative_sweep(
-            hurst=0.7, c=5.0, tau=0.5, n_list=(100, 200), replications=200,
-            level=0.05, cv_table=cv_table, master_seed=17,
-        )
+        results = [
+            run_experiment(
+                ExperimentSpec(
+                    kind="local_alternative", hurst=0.7, n=n, replications=200,
+                    c=5.0, tau=0.5, level=0.05, master_seed=17,
+                ),
+                cv_table,
+            )
+            for n in (100, 200)
+        ]
         assert [r.spec.n for r in results] == [100, 200]
         for r in results:
             assert r.spec.shift == pytest.approx(5.0 * r.spec.n ** (-0.3))
@@ -209,10 +213,16 @@ class TestLocalAlternative:
 
 class TestConsistency:
     def test_statistic_and_power_grow_with_n(self, cv_table):
-        results = run_consistency_sweep(
-            hurst=0.7, delta=1.0, tau=0.5, n_list=(100, 400), replications=300,
-            level=0.05, cv_table=cv_table, master_seed=19,
-        )
+        results = [
+            run_experiment(
+                ExperimentSpec(
+                    kind="consistency", hurst=0.7, n=n, replications=300,
+                    delta=1.0, tau=0.5, level=0.05, master_seed=19,
+                ),
+                cv_table,
+            )
+            for n in (100, 400)
+        ]
         medians = [r.median_statistic for r in results]
         rates = [r.rejection_rate for r in results]
         assert medians[1] > medians[0]

@@ -61,7 +61,24 @@ def test_bench_tracer_wraps_existing_attributes(tmp_path):
         sntest.batch_tn_from_values(rows, 6, 34, use_ranks=True)
         ranked = [s for s in tracer.spans if s["name"] == "sntest.rankdata"]
         assert [span["attrs"] for span in ranked] == [{"rows": 3}]
+        # the single-series statistic ranks through sntest.build_profile once
+        del tracer.spans[:]
+        sntest.tn_statistic(lrdcp.TimeSeries(rows[0]))
+        assert [s["name"] for s in tracer.spans] == ["rankstat.build_profile"]
+        del tracer.spans[:]
+        cli.tn_statistic(lrdcp.TimeSeries(rows[0]))
+        outer, inner = sorted(tracer.spans, key=lambda span: span["start"])
+        assert (outer["name"], inner["name"]) == (
+            "sntest.tn_statistic", "rankstat.build_profile"
+        )
+        assert inner["parent"] == outer["id"]
     finally:
         tracer.uninstall()
     for (module, name), original in originals.items():
         assert getattr(module, name) is original, name
+
+
+def test_public_names_resolve_once():
+    assert len(lrdcp.__all__) == len(set(lrdcp.__all__))
+    for name in lrdcp.__all__:
+        assert getattr(lrdcp, name, None) is not None, name

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lrdcp import RankProfile, TimeSeries, build_profile, compute_ranks
-from lrdcp.rankstat import deviation_profile, rankdata
+from lrdcp import RankProfile, TimeSeries, build_profile
+from lrdcp.rankstat import deviation_rows, rankdata
 
 
 def brute_two_sample_sums(values):
@@ -56,15 +56,15 @@ class TestTimeSeries:
 class TestComputeRanks:
     def test_distinct_values(self):
         assert np.array_equal(
-            compute_ranks(np.array([3.0, 1.0, 2.0, 4.0])), [3.0, 1.0, 2.0, 4.0]
+            rankdata(np.array([3.0, 1.0, 2.0, 4.0])), [3.0, 1.0, 2.0, 4.0]
         )
 
     def test_midranks_for_ties(self):
-        ranks = compute_ranks(np.array([10.0, -1.0, 7.0, 7.0, 2.0]))
+        ranks = rankdata(np.array([10.0, -1.0, 7.0, 7.0, 2.0]))
         assert np.array_equal(ranks, [5.0, 1.0, 3.5, 3.5, 2.0])
 
     def test_pair_tie(self):
-        ranks = compute_ranks(np.array([5.0, 5.0, 1.0, 9.0]))
+        ranks = rankdata(np.array([5.0, 5.0, 1.0, 9.0]))
         assert np.array_equal(ranks, [2.5, 2.5, 1.0, 4.0])
 
     def test_rank_sum_is_preserved_under_ties(self):
@@ -72,7 +72,7 @@ class TestComputeRanks:
         for _ in range(50):
             n = int(rng.integers(4, 60))
             x = rng.integers(0, 5, size=n).astype(np.float64)
-            assert compute_ranks(x).sum() == n * (n + 1) / 2
+            assert rankdata(x).sum() == n * (n + 1) / 2
 
 
 def assert_same_bits(actual, expected):
@@ -131,12 +131,9 @@ class TestBuildProfile:
 
     def test_index_conventions(self):
         profile = build_profile(TimeSeries([4.0, 2.0, 3.0, 1.0]))
+        # d is indexed by k = 0..n and opens with the empty sum
+        assert profile.d.shape == (5,)
         assert profile.d[0] == 0.0
-        assert profile.prefix_q[0] == 0.0
-        # suffix arrays hold the full-tail sum up front and vanish at n
-        assert profile.suffix_q[0] == profile.prefix_q[-1]
-        assert profile.suffix_q[-1] == 0.0
-        assert profile.suffix_md[-1] == 0.0
 
     def test_matches_pairwise_double_sum(self):
         rng = np.random.default_rng(5)
@@ -170,24 +167,6 @@ class TestBuildProfile:
         for transform in (np.exp, np.arctan, lambda v: v**3 + 2 * v):
             other = build_profile(TimeSeries(transform(x)))
             assert np.array_equal(base.d, other.d)
-            assert np.array_equal(base.prefix_q, other.prefix_q)
-            assert np.array_equal(base.suffix_q, other.suffix_q)
-
-    def test_moment_arrays_match_direct_sums(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=30)
-        profile = build_profile(TimeSeries(x))
-        d = profile.d
-        n = 30
-        for k in range(n + 1):
-            assert profile.prefix_q[k] == pytest.approx(np.sum(d[1 : k + 1] ** 2))
-            assert profile.prefix_td[k] == pytest.approx(
-                np.sum(np.arange(1, k + 1) * d[1 : k + 1])
-            )
-            assert profile.suffix_q[k] == pytest.approx(np.sum(d[k + 1 : n] ** 2))
-            assert profile.suffix_md[k] == pytest.approx(
-                np.sum((n - np.arange(k + 1, n)) * d[k + 1 : n])
-            )
 
     def test_profile_reports_length(self):
         profile = build_profile(TimeSeries(np.arange(9.0)))
@@ -195,18 +174,23 @@ class TestBuildProfile:
         assert isinstance(profile, RankProfile)
 
 
+def value_profile(x):
+    d, _ = deviation_rows(x[np.newaxis], ranked=False)
+    return d[0]
+
+
 class TestDeviationProfile:
     def test_cusum_final_entry_vanishes(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=50)
-        d = deviation_profile(x)
+        d = value_profile(x)
         assert d[0] == 0.0
         assert d[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_centered_partial_sums(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=40)
-        d = deviation_profile(x)
+        d = value_profile(x)
         for t in range(41):
             expected = (t / 40) * x.sum() - x[:t].sum()
             assert d[t] == pytest.approx(expected, abs=1e-10)
@@ -214,4 +198,5 @@ class TestDeviationProfile:
     def test_rank_input_reproduces_rank_deviations(self):
         x = np.random.default_rng(6).normal(size=25)
         profile = build_profile(TimeSeries(x))
-        assert deviation_profile(compute_ranks(x)) == pytest.approx(profile.d)
+        assert value_profile(rankdata(x)) == pytest.approx(profile.d)
+

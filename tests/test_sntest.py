@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from _oracle import kernel_gn, naive_gn_oracle
 from lrdcp import (
     FgnParams,
     TimeSeries,
-    build_profile,
     build_sampler,
     critical_values,
-    gn_statistic,
-    naive_gn_oracle,
     sample_fgn_block,
     sn_cusum_statistic,
     tn_statistic,
@@ -46,13 +44,12 @@ class TestWindowContract:
 
 class TestHandExample:
     def test_point_statistic_at_middle_split(self):
-        profile = build_profile(TimeSeries([1.0, 2.0, 3.0, 4.0]))
-        assert gn_statistic(profile, 2) == pytest.approx(5.65685424949238, abs=1e-10)
+        gn = kernel_gn(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2, 2)
+        assert gn[0] == pytest.approx(5.65685424949238, abs=1e-10)
 
     def test_oracle_agrees_on_hand_example(self):
         ts = TimeSeries([1.0, 2.0, 3.0, 4.0])
-        profile = build_profile(ts)
-        assert naive_gn_oracle(ts, 2) == pytest.approx(gn_statistic(profile, 2))
+        assert naive_gn_oracle(ts, 2) == pytest.approx(kernel_gn(ts, 2, 2)[0])
 
     def test_scan_picks_middle_split(self):
         result = tn_statistic(TimeSeries([1.0, 2.0, 3.0, 4.0]), HAND_WINDOW)
@@ -68,25 +65,24 @@ class TestHandExample:
 
 
 class TestOracleAgreement:
+    """The kernel equals the oracle at every split k in 1..n-1."""
+
     def test_fast_path_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
-        window = Window(0.15, 0.85)
         for n in (10, 25, 50):
             for _ in range(20):
                 ts = TimeSeries(rng.normal(size=n))
-                profile = build_profile(ts)
-                lo, hi = window.split_range(n)
-                for k in range(lo, hi + 1):
-                    fast = gn_statistic(profile, k)
+                fast = kernel_gn(ts)
+                for k in range(1, n):
                     slow = naive_gn_oracle(ts, k)
-                    assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+                    assert fast[k - 1] == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
     def test_oracle_agreement_with_ties(self):
         rng = np.random.default_rng(8)
         ts = TimeSeries(rng.integers(0, 6, size=30).astype(np.float64))
-        profile = build_profile(ts)
-        for k in range(5, 26):
-            assert gn_statistic(profile, k) == pytest.approx(
+        fast = kernel_gn(ts)
+        for k in range(1, 30):
+            assert fast[k - 1] == pytest.approx(
                 naive_gn_oracle(ts, k), rel=1e-9, abs=1e-12
             )
 
@@ -176,9 +172,8 @@ class TestArgmaxWiring:
         for _ in range(10):
             ts = TimeSeries(rng.normal(size=60))
             result = tn_statistic(ts)
-            profile = build_profile(ts)
             lo, hi = result.k_range
-            values = np.array([gn_statistic(profile, k) for k in range(lo, hi + 1)])
+            values = np.array([naive_gn_oracle(ts, k) for k in range(lo, hi + 1)])
             assert result.statistic == pytest.approx(values.max(), rel=1e-12)
             assert result.argmax_k == lo + int(np.argmax(values))
 
