@@ -32,6 +32,7 @@ from .montecarlo import (
     ExperimentSpec,
     reproduce_tables,
     run_experiment,
+    run_experiments,
     simulate_statistics,
 )
 
@@ -61,6 +62,7 @@ __all__ = [
     "ExperimentSpec",
     "reproduce_tables",
     "run_experiment",
+    "run_experiments",
     "simulate_statistics",
     "__version__",
 ]

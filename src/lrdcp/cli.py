@@ -28,7 +28,8 @@ from .montecarlo import (
     CSV_COLUMNS,
     ExperimentSpec,
     reproduce_tables,
-    run_experiment,
+    run_experiment,  # noqa: F401  (tests patch it here)
+    run_experiments,
 )
 from .rankstat import TimeSeries
 from .sntest import TestWindow, tn_statistic
@@ -117,17 +118,7 @@ def _load_cv(parser, args, window, seed):
     if args.cv:
         with open(args.cv) as handle:
             table = CriticalValueTable.from_json(handle.read())
-        if table.window != window:
-            raise ValueError(
-                f"critical-value table window ({table.window.tau1}, "
-                f"{table.window.tau2}) does not match requested window "
-                f"({window.tau1}, {window.tau2})"
-            )
-        if table.hurst != args.hurst:
-            raise ValueError(
-                f"critical-value table is for hurst={table.hurst}, "
-                f"requested hurst={args.hurst}"
-            )
+        table.check_matches(args.hurst, window)
         return table, "file"
     spec = LimitSimSpec(
         hurst=args.hurst,
@@ -241,7 +232,7 @@ def cmd_experiment(parser, args):
     except ValueError as exc:
         parser.error(str(exc))
     cv_table, cv_source = _load_cv(parser, args, window, seed)
-    results = [run_experiment(spec, cv_table) for spec in specs]
+    results = run_experiments(specs, cv_table)
 
     if args.out and args.format == "csv":
         import csv as csv_module

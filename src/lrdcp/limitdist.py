@@ -17,6 +17,7 @@ Critical values are upper empirical quantiles: the order statistic of
 rank ceil((1 - level) * R), no interpolation.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -89,6 +90,20 @@ class CriticalValueTable:
                 f"table holds {sorted(self.quantiles)}"
             ) from None
 
+    def check_matches(self, hurst, window):
+        """Raise ValueError unless the table is for this H and window."""
+        if self.hurst != hurst:
+            raise ValueError(
+                f"critical-value table is for hurst={self.hurst}, "
+                f"requested hurst={hurst}"
+            )
+        if self.window != window:
+            raise ValueError(
+                f"critical-value table window ({self.window.tau1}, "
+                f"{self.window.tau2}) does not match requested window "
+                f"({window.tau1}, {window.tau2})"
+            )
+
     def to_json(self):
         payload = {
             "hurst": self.hurst,
@@ -158,31 +173,75 @@ def _is_level(key):
         return False
 
 
-def _limit_chunk(task):
-    hurst, grid_size, tau1, tau2, master_seed, lo, hi = task
-    sampler = build_sampler(FgnParams(hurst, grid_size))
-    increments = sample_fgn_block(
-        sampler, master_seed, range(lo, hi), stream=STREAM_LIMIT
+@dataclass(frozen=True)
+class SimChunk:
+    """Replications [lo, hi) of the statistic on fGn(hurst, n).
+
+    The series gets ``shift`` added from ``change_index`` on, and is
+    scored by the rank kernel (``use_ranks``) or the value kernel.  The
+    limit law is the unranked, unshifted case on ``STREAM_LIMIT``.
+    """
+
+    hurst: float
+    n: int
+    window: TestWindow
+    master_seed: int
+    lo: int
+    hi: int
+    stream: int = STREAM_LIMIT
+    use_ranks: bool = False
+    shift: float = 0.0
+    change_index: int = 0
+
+
+def chunk_tasks(replications, **fields):
+    """The ``SimChunk`` of each fixed-size chunk of range(replications)."""
+    return [
+        SimChunk(lo=lo, hi=hi, **fields)
+        for lo, hi in _parallel.chunk_ranges(replications)
+    ]
+
+
+def simulate_chunk(task):
+    """Statistic values of one chunk, a pure function of the task."""
+    sampler = build_sampler(FgnParams(task.hurst, task.n))
+    series = sample_fgn_block(
+        sampler, task.master_seed, range(task.lo, task.hi), stream=task.stream
     )
-    k_lo, k_hi = TestWindow(tau1, tau2).split_range(grid_size)
-    return batch_tn_from_values(increments, k_lo, k_hi, use_ranks=False)
+    if task.shift != 0.0:
+        series[:, task.change_index:] += task.shift
+    k_lo, k_hi = task.window.split_range(task.n)
+    return batch_tn_from_values(series, k_lo, k_hi, use_ranks=task.use_ranks)
+
+
+def simulate_cells(cells):
+    """Values of each cell (a list of chunk tasks), from one chunked map.
+
+    Every chunk of every cell is dispatched at once, in cell order, so a
+    process pool starts at most once; each cell's values come back in
+    replication order.
+    """
+    values = _parallel.chunked_map(
+        simulate_chunk, [task for cell in cells for task in cell]
+    )
+    ends = list(itertools.accumulate(len(cell) for cell in cells))
+    return [
+        np.concatenate(values[end - len(cell):end])
+        for cell, end in zip(cells, ends)
+    ]
+
+
+def limit_tasks(spec):
+    """Chunk tasks of a limit-law simulation."""
+    return chunk_tasks(
+        spec.replications, hurst=spec.hurst, n=spec.grid_size,
+        window=spec.window, master_seed=spec.master_seed,
+    )
 
 
 def simulate_limit_values(spec):
     """All replications of the limit statistic, in replication order."""
-    tasks = [
-        (
-            spec.hurst,
-            spec.grid_size,
-            spec.window.tau1,
-            spec.window.tau2,
-            spec.master_seed,
-            lo,
-            hi,
-        )
-        for lo, hi in _parallel.chunk_ranges(spec.replications)
-    ]
-    return np.concatenate(_parallel.chunked_map(_limit_chunk, tasks))
+    return simulate_cells([limit_tasks(spec)])[0]
 
 
 def upper_quantile(sorted_values, level):
@@ -194,7 +253,12 @@ def upper_quantile(sorted_values, level):
 
 def critical_values(spec):
     """Simulate the limit distribution and tabulate its upper quantiles."""
-    values = np.sort(simulate_limit_values(spec))
+    return critical_value_table(spec, simulate_limit_values(spec))
+
+
+def critical_value_table(spec, values):
+    """The spec's table from its simulated limit values."""
+    values = np.sort(values)
     quantiles = {level: upper_quantile(values, level) for level in spec.levels}
     return CriticalValueTable(
         hurst=spec.hurst,

@@ -19,20 +19,25 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parallel
-from .fgn import (
-    STREAM_EXPERIMENT,
-    FgnParams,
-    build_sampler,
-    check_seed,
-    sample_fgn_block,
+from .fgn import STREAM_EXPERIMENT, check_seed
+from .limitdist import (
+    LimitSimSpec,
+    chunk_tasks,
+    critical_value_table,
+    limit_tasks,
+    simulate_cells,
 )
-from .limitdist import LimitSimSpec, critical_values
-from .sntest import TestWindow, batch_tn_from_values
+from .sntest import TestWindow
+
+# not called here: they stay attributes of this module, where
+# bench/tracing.py wraps them; the chunks themselves run in limitdist
+from .fgn import build_sampler, sample_fgn_block  # noqa: F401
+from .limitdist import critical_values  # noqa: F401
+from .sntest import batch_tn_from_values  # noqa: F401
 
 KINDS = ("size", "power", "consistency", "local_alternative")
 
@@ -119,36 +124,19 @@ CSV_COLUMNS = (
 )
 
 
-def _experiment_chunk(task):
-    hurst, n, shift, change_index, tau1, tau2, master_seed, lo, hi = task
-    sampler = build_sampler(FgnParams(hurst, n))
-    series = sample_fgn_block(
-        sampler, master_seed, range(lo, hi), stream=STREAM_EXPERIMENT
+def experiment_tasks(spec):
+    """Chunk tasks of an experiment: ranked, on the experiment stream."""
+    return chunk_tasks(
+        spec.replications, hurst=spec.hurst, n=spec.n, window=spec.window,
+        master_seed=spec.master_seed, stream=STREAM_EXPERIMENT,
+        use_ranks=True, shift=spec.shift,
+        change_index=math.floor(spec.n * spec.tau),
     )
-    if shift != 0.0:
-        series[:, change_index:] += shift
-    k_lo, k_hi = TestWindow(tau1, tau2).split_range(n)
-    return batch_tn_from_values(series, k_lo, k_hi, use_ranks=True)
 
 
 def simulate_statistics(spec):
     """Per-replication statistic values under the spec's alternative."""
-    change_index = math.floor(spec.n * spec.tau)
-    tasks = [
-        (
-            spec.hurst,
-            spec.n,
-            spec.shift,
-            change_index,
-            spec.window.tau1,
-            spec.window.tau2,
-            spec.master_seed,
-            lo,
-            hi,
-        )
-        for lo, hi in _parallel.chunk_ranges(spec.replications)
-    ]
-    return np.concatenate(_parallel.chunked_map(_experiment_chunk, tasks))
+    return simulate_cells([experiment_tasks(spec)])[0]
 
 
 def _aggregate(spec, values, cv, seconds):
@@ -164,22 +152,32 @@ def _aggregate(spec, values, cv, seconds):
     )
 
 
+def _critical_value(spec, cv_table):
+    cv_table.check_matches(spec.hurst, spec.window)
+    return cv_table.critical_value(spec.level)
+
+
 def run_experiment(spec, cv_table):
     """Run one experiment against a matching critical-value table."""
-    if cv_table.hurst != spec.hurst:
-        raise ValueError(
-            f"critical-value table is for hurst={cv_table.hurst}, "
-            f"experiment wants {spec.hurst}"
-        )
-    if cv_table.window != spec.window:
-        raise ValueError(
-            f"critical-value table window {cv_table.window} does not match "
-            f"experiment window {spec.window}"
-        )
-    cv = cv_table.critical_value(spec.level)
+    cv = _critical_value(spec, cv_table)
     start = time.perf_counter()
     values = simulate_statistics(spec)
     return _aggregate(spec, values, cv, time.perf_counter() - start)
+
+
+def run_experiments(specs, cv_table):
+    """``run_experiment`` of each spec, with every chunk in one map.
+
+    Each result's ``seconds`` is the wall time of that shared map.
+    """
+    cvs = [_critical_value(spec, cv_table) for spec in specs]
+    start = time.perf_counter()
+    cells = simulate_cells([experiment_tasks(spec) for spec in specs])
+    seconds = time.perf_counter() - start
+    return [
+        _aggregate(spec, values, cv, seconds)
+        for spec, values, cv in zip(specs, cells, cvs)
+    ]
 
 
 # grids of the standard report tables
@@ -209,19 +207,46 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
     size_reps = _scaled(10000, scale)
     power_reps = _scaled(5000, scale)
 
+    limit_specs = [
+        LimitSimSpec(hurst=hurst, replications=cv_reps, window=window,
+                     master_seed=master_seed)
+        for hurst in TABLE_HURSTS
+    ]
+    size_specs = [
+        ExperimentSpec(kind="size", hurst=hurst, n=n, replications=size_reps,
+                       window=window, master_seed=master_seed)
+        for hurst in TABLE_HURSTS for n in TABLE_SIZE_NS
+    ]
+    # one simulation per power cell serves every level
+    power_tables = (("table3", 0.5), ("table4", 0.25))
+    power_specs = {
+        tau: [
+            ExperimentSpec(kind="power", hurst=hurst, n=n,
+                           replications=power_reps, delta=delta, tau=tau,
+                           window=window, master_seed=master_seed)
+            for hurst in TABLE_HURSTS for n in TABLE_POWER_NS
+            for delta in TABLE_DELTAS
+        ]
+        for _, tau in power_tables
+    }
+    # every chunk of every cell in one map, read back below in the same
+    # order; critical values only enter at aggregation
+    cells = iter(simulate_cells(
+        [limit_tasks(spec) for spec in limit_specs]
+        + [experiment_tasks(spec) for spec in size_specs]
+        + [experiment_tasks(spec)
+           for specs in power_specs.values() for spec in specs]
+    ))
+
     tables = {}
     cv_tables = {}
     rows = []
-    for hurst in TABLE_HURSTS:
-        spec = LimitSimSpec(
-            hurst=hurst, replications=cv_reps, window=window,
-            master_seed=master_seed,
-        )
-        table = critical_values(spec)
-        cv_tables[hurst] = table
+    for spec in limit_specs:
+        table = critical_value_table(spec, next(cells))
+        cv_tables[spec.hurst] = table
         for level in spec.levels:
             rows.append(
-                {"hurst": hurst, "level": level,
+                {"hurst": spec.hurst, "level": level,
                  "critical_value": table.critical_value(level)}
             )
     tables["table1"] = _write_csv(
@@ -230,45 +255,28 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
     )
 
     rows = []
-    for hurst in TABLE_HURSTS:
-        for n in TABLE_SIZE_NS:
-            spec = ExperimentSpec(
-                kind="size", hurst=hurst, n=n, replications=size_reps,
-                level=0.05, window=window, master_seed=master_seed,
-            )
-            result = run_experiment(spec, cv_tables[hurst])
-            rows.append(
-                {"hurst": hurst, "n": n, "level": 0.05, "reps": size_reps,
-                 "rejection_rate": result.rejection_rate}
-            )
+    for spec in size_specs:
+        cv = cv_tables[spec.hurst].critical_value(spec.level)
+        rows.append(
+            {"hurst": spec.hurst, "n": spec.n, "level": spec.level,
+             "reps": size_reps, "rejection_rate": _rate(next(cells), cv)}
+        )
     tables["table2"] = _write_csv(
         os.path.join(out_dir, "table2.csv"),
         ("hurst", "n", "level", "reps", "rejection_rate"), rows,
     )
 
-    for name, tau in (("table3", 0.5), ("table4", 0.25)):
+    for name, tau in power_tables:
         rows = []
-        for hurst in TABLE_HURSTS:
-            for n in TABLE_POWER_NS:
-                for delta in TABLE_DELTAS:
-                    spec = ExperimentSpec(
-                        kind="power", hurst=hurst, n=n,
-                        replications=power_reps, delta=delta, tau=tau,
-                        level=TABLE_POWER_LEVELS[0], window=window,
-                        master_seed=master_seed,
-                    )
-                    # one simulation serves every level
-                    values = simulate_statistics(spec)
-                    for level in TABLE_POWER_LEVELS:
-                        cv = cv_tables[hurst].critical_value(level)
-                        result = _aggregate(
-                            replace(spec, level=level), values, cv, 0.0
-                        )
-                        rows.append(
-                            {"hurst": hurst, "n": n, "delta": delta,
-                             "tau": tau, "level": level, "reps": power_reps,
-                             "rejection_rate": result.rejection_rate}
-                        )
+        for spec in power_specs[tau]:
+            values = next(cells)
+            for level in TABLE_POWER_LEVELS:
+                cv = cv_tables[spec.hurst].critical_value(level)
+                rows.append(
+                    {"hurst": spec.hurst, "n": spec.n, "delta": spec.delta,
+                     "tau": tau, "level": level, "reps": power_reps,
+                     "rejection_rate": _rate(values, cv)}
+                )
         tables[name] = _write_csv(
             os.path.join(out_dir, f"{name}.csv"),
             ("hurst", "n", "delta", "tau", "level", "reps",
@@ -293,6 +301,10 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
         handle.write("\n")
     tables["manifest"] = manifest_path
     return tables
+
+
+def _rate(values, cv):
+    return int((values > cv).sum()) / len(values)
 
 
 def _write_csv(path, columns, rows):

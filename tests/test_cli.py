@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lrdcp import cli
+from lrdcp import _parallel, cli
 from lrdcp.cli import main, read_series
 from lrdcp.montecarlo import CSV_COLUMNS
 
@@ -332,6 +332,26 @@ class TestExperimentCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [row["n"] for row in rows] == [50, 80]
 
+    def test_comma_list_is_one_map(self, cv_file, monkeypatch, capsys):
+        maps = []
+        chunked_map = _parallel.chunked_map
+
+        def counting_map(func, tasks):
+            maps.append(len(tasks))
+            return chunked_map(func, tasks)
+
+        monkeypatch.setattr(_parallel, "chunked_map", counting_map)
+        code = main(
+            [
+                "experiment", "--kind", "size", "--hurst", "0.7",
+                "--n", "50,80,120", "--reps", "600", "--seed", "1",
+                "--cv", str(cv_file),
+            ]
+        )
+        assert code == 0
+        assert maps == [6]
+        assert len(json.loads(capsys.readouterr().out)) == 3
+
     def test_local_alt_alias(self, cv_file, capsys):
         code = main(
             [
@@ -350,7 +370,7 @@ class TestExperimentCommand:
     def test_every_length_checked_before_simulating(self, n_text, message,
                                                     monkeypatch, capsys):
         calls = []
-        for name in ("run_experiment", "critical_values"):
+        for name in ("run_experiment", "critical_values", "run_experiments"):
             monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
         with pytest.raises(SystemExit) as excinfo:
             main(

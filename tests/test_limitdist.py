@@ -166,6 +166,28 @@ class TestTableSerialization:
         assert payload["window"] == [0.15, 0.85]
 
 
+class TestCheckMatches:
+    TABLE = CriticalValueTable(hurst=0.7, window=Window(), quantiles={0.05: 8.0})
+
+    def test_matching_table_passes(self):
+        self.TABLE.check_matches(0.7, Window())
+
+    def test_other_hurst(self):
+        with pytest.raises(ValueError) as excinfo:
+            self.TABLE.check_matches(0.6, Window())
+        assert str(excinfo.value) == (
+            "critical-value table is for hurst=0.7, requested hurst=0.6"
+        )
+
+    def test_other_window(self):
+        with pytest.raises(ValueError) as excinfo:
+            self.TABLE.check_matches(0.7, Window(0.2, 0.8))
+        assert str(excinfo.value) == (
+            "critical-value table window (0.15, 0.85) does not match "
+            "requested window (0.2, 0.8)"
+        )
+
+
 class TestTableValidation:
     def table_payload(self):
         table = critical_values(LimitSimSpec(0.7, master_seed=8, **FAST))

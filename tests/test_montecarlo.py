@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from lrdcp import (
     ExperimentSpec,
     LimitSimSpec,
     critical_values,
+    reproduce_tables,
     run_experiment,
+    run_experiments,
     simulate_statistics,
 )
+from lrdcp import _parallel, montecarlo
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 
 
@@ -241,3 +246,139 @@ class TestTableGrids:
         r05 = run_experiment(spec05, cv_table)
         assert r10.mean_statistic == r05.mean_statistic
         assert r10.rejection_rate >= r05.rejection_rate
+
+
+def counting_map(maps):
+    """``_parallel.chunked_map`` that appends each call's task count."""
+    chunked_map = _parallel.chunked_map
+
+    def counted(func, tasks):
+        maps.append(len(tasks))
+        return chunked_map(func, tasks)
+
+    return counted
+
+
+class TestRunExperiments:
+    def test_matches_one_run_per_spec(self, cv_table, monkeypatch):
+        specs = [
+            ExperimentSpec(
+                kind="power", hurst=0.7, n=n, replications=700, delta=1.0,
+                level=level, master_seed=29,
+            )
+            for n, level in ((60, 0.05), (90, 0.10))
+        ]
+        single = [run_experiment(spec, cv_table) for spec in specs]
+        maps = []
+        monkeypatch.setattr(_parallel, "chunked_map", counting_map(maps))
+        batched = run_experiments(specs, cv_table)
+        assert maps == [4]
+        for one, many in zip(single, batched):
+            assert many.spec == one.spec
+            assert many.rejection_count == one.rejection_count
+            assert many.mean_statistic == one.mean_statistic
+            assert many.median_statistic == one.median_statistic
+            assert many.critical_value_used == one.critical_value_used
+
+    def test_mismatched_table_rejected_before_simulating(self, cv_table,
+                                                         monkeypatch):
+        monkeypatch.setattr(_parallel, "chunked_map", None)
+        specs = [
+            ExperimentSpec(kind="size", hurst=0.7, n=100, replications=100),
+            ExperimentSpec(kind="size", hurst=0.8, n=100, replications=100),
+        ]
+        with pytest.raises(ValueError, match="requested hurst=0.8"):
+            run_experiments(specs, cv_table)
+
+
+# every replication count at its floor of 200
+TABLES_SCALE = 0.002
+TABLES_REPS = 200
+TABLES_SEED = 4
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """CSV text and chunked-map count of reproduce_tables per worker cap."""
+    runs = {}
+    for threads in ("1", "2"):
+        maps = []
+        out = tmp_path_factory.mktemp(f"tables{threads}")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("LRD_CP_THREADS", threads)
+            patch.setattr(_parallel, "chunked_map", counting_map(maps))
+            paths = reproduce_tables(
+                str(out), scale=TABLES_SCALE, master_seed=TABLES_SEED
+            )
+        text = {}
+        for name, path in paths.items():
+            if name != "manifest":
+                with open(path, newline="") as handle:
+                    text[name] = handle.read()
+        runs[threads] = text, maps
+    return runs
+
+
+def _csv_text(columns, rows):
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return handle.getvalue()
+
+
+def per_cell_tables():
+    """The four tables built one cell at a time, from the public API."""
+    tables = {h: critical_values(LimitSimSpec(
+        h, replications=TABLES_REPS, master_seed=TABLES_SEED))
+        for h in montecarlo.TABLE_HURSTS}
+
+    def rate(values, hurst, level):
+        cv = tables[hurst].critical_value(level)
+        return int((values > cv).sum()) / TABLES_REPS
+
+    text = {"table1": _csv_text(
+        ("hurst", "level", "critical_value"),
+        [(h, level, table.critical_value(level))
+         for h, table in tables.items() for level in table.quantiles],
+    )}
+    rows = []
+    for h in montecarlo.TABLE_HURSTS:
+        for n in montecarlo.TABLE_SIZE_NS:
+            values = simulate_statistics(ExperimentSpec(
+                kind="size", hurst=h, n=n, replications=TABLES_REPS,
+                master_seed=TABLES_SEED))
+            rows.append((h, n, 0.05, TABLES_REPS, rate(values, h, 0.05)))
+    text["table2"] = _csv_text(
+        ("hurst", "n", "level", "reps", "rejection_rate"), rows
+    )
+    for name, tau in (("table3", 0.5), ("table4", 0.25)):
+        rows = []
+        for h in montecarlo.TABLE_HURSTS:
+            for n in montecarlo.TABLE_POWER_NS:
+                for delta in montecarlo.TABLE_DELTAS:
+                    values = simulate_statistics(ExperimentSpec(
+                        kind="power", hurst=h, n=n, replications=TABLES_REPS,
+                        delta=delta, tau=tau, master_seed=TABLES_SEED,
+                    ))
+                    rows += [(h, n, delta, tau, level, TABLES_REPS,
+                              rate(values, h, level))
+                             for level in montecarlo.TABLE_POWER_LEVELS]
+        text[name] = _csv_text(
+            ("hurst", "n", "delta", "tau", "level", "reps", "rejection_rate"),
+            rows,
+        )
+    return text
+
+
+class TestReproduceTables:
+    def test_same_bytes_for_any_worker_count(self, reproduced):
+        assert reproduced["1"][0] == reproduced["2"][0]
+
+    def test_one_map_over_every_chunk(self, reproduced):
+        # 4 limit cells, 20 size cells, 48 power cells: one chunk each
+        for _, maps in reproduced.values():
+            assert maps == [72]
+
+    def test_equals_per_cell_reference(self, reproduced):
+        assert reproduced["2"][0] == per_cell_tables()
