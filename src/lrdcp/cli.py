@@ -44,27 +44,41 @@ _KIND_ALIASES = {
 
 
 def read_series(path):
-    """Parse one decimal per line; '#' comments and blank lines ignored."""
-    values = []
+    """Parse one decimal per line; '#' comments and blank lines ignored.
+
+    One bulk pass: float() over the data lines in C, one finiteness check.
+    Only a file that fails it is scanned again, line by line, for the
+    first offending line.
+    """
     with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(
-                    f"parse error at line {lineno} of {path}: {line!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"non-finite value at line {lineno} of {path}: {line!r}"
-                )
-            values.append(value)
-    if not values:
+        lines = list(map(str.strip, handle))
+    data = [line for line in lines if line and line[0] != "#"]
+    if not data:
         raise ValueError(f"no data in {path}")
-    return TimeSeries(np.asarray(values, dtype=np.float64))
+    try:
+        values = np.fromiter(map(float, data), np.float64, len(data))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _raise_first_bad_line(path, lines)
+    return TimeSeries(values)
+
+
+def _raise_first_bad_line(path, lines):
+    """Raise the error of the first data line that is not a finite float."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(
+                f"parse error at line {lineno} of {path}: {line!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"non-finite value at line {lineno} of {path}: {line!r}"
+            )
 
 
 def _auto_seed():
@@ -136,6 +150,7 @@ def cmd_test(parser, args):
     window = _window(parser, args)
     seed = args.seed if args.seed is not None else _auto_seed()
     series = read_series(args.input)
+    window.split_range(series.n)  # a too-short series fails before simulating
     cv_table, cv_source = _load_cv(parser, args, window, seed)
     cv = cv_table.critical_value(args.level)
     result = tn_statistic(series, window, critical_value=cv)
@@ -242,9 +257,13 @@ def cmd_experiment(parser, args):
             writer.writeheader()
             writer.writerows(result.to_csv_row() for result in results)
     else:
-        payload = [result.to_csv_row() for result in results]
-        for entry in payload:
-            entry["cv_source"] = cv_source
+        payload = [
+            {**result.to_csv_row(), "cv_source": cv_source,
+             "mean_statistic": result.mean_statistic,
+             "median_statistic": result.median_statistic,
+             "rejection_se": result.rejection_se}
+            for result in results
+        ]
         _emit(payload, args.out)
     return 0
 

@@ -103,6 +103,12 @@ class ExperimentResult:
     median_statistic: float
     seconds: float
 
+    @property
+    def rejection_se(self):
+        """Binomial standard error of the rejection rate, sqrt(p(1-p)/R)."""
+        p = self.rejection_rate
+        return math.sqrt(p * (1.0 - p) / self.spec.replications)
+
     def to_csv_row(self):
         return {
             "kind": self.spec.kind,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import time
@@ -11,7 +12,8 @@ import pytest
 
 from lrdcp import _parallel, cli
 from lrdcp.cli import main, read_series
-from lrdcp.montecarlo import CSV_COLUMNS
+from lrdcp.limitdist import CriticalValueTable
+from lrdcp.montecarlo import CSV_COLUMNS, ExperimentSpec, run_experiments
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,79 @@ class TestReadSeries:
         path.write_text("# only a comment\n")
         with pytest.raises(ValueError, match="no data"):
             read_series(path)
+
+    @staticmethod
+    def _file(tmp_path, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text, newline="")  # line endings written as given
+        return path
+
+    @staticmethod
+    def _error(path):
+        with pytest.raises(ValueError) as excinfo:
+            read_series(path)
+        return str(excinfo.value)
+
+    def test_crlf_and_lone_cr_line_endings(self, tmp_path):
+        for text in ("1.5\r\n2.5\r\n# c\r\n3.5\r\n-4.5\r\n",
+                     "1.5\r2.5\r# c\r3.5\r-4.5\r"):
+            path = self._file(tmp_path, text)
+            assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, -4.5]
+        for text in ("1\r\n2\r\nabc\r\n4\r\n", "1\r2\rabc\r4\r"):
+            path = self._file(tmp_path, text)
+            assert self._error(path) == f"parse error at line 3 of {path}: 'abc'"
+
+    def test_unicode_whitespace_around_value(self, tmp_path):
+        path = self._file(
+            tmp_path, "\t1.5\t\n\u00a02.5\u00a0\n\u30003.5\u3000\n \t4.5 \n"
+        )
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+
+    def test_indented_comment_skipped(self, tmp_path):
+        path = self._file(tmp_path, "1.5\n   # note\n\t# tab\n2.5\n3.5\n4.5\n")
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+
+    def test_inline_comment_is_parse_error(self, tmp_path):
+        path = self._file(tmp_path, "1.0\n2.0\n1.5 # note\n4.0\n")
+        assert self._error(path) == (
+            f"parse error at line 3 of {path}: '1.5 # note'"
+        )
+
+    def test_float_syntax_kept(self, tmp_path):
+        path = self._file(tmp_path, "1_000\n+1e3\n-0.0\n2.5\n")
+        values = read_series(path).values
+        assert values.tolist() == [1000.0, 1000.0, 0.0, 2.5]
+        assert np.signbit(values[2])
+
+    def test_values_keep_every_bit(self, tmp_path):
+        expected = np.random.default_rng(4).standard_normal(500) * 1e3
+        text = "".join(f"{x!r}\n" for x in expected.tolist())
+        assert read_series(self._file(tmp_path, text)).values.tobytes() == (
+            expected.tobytes()
+        )
+
+    @pytest.mark.parametrize("token", ["Infinity", "-inf", "nan"])
+    def test_spelled_non_finite_rejected_at_line(self, token, tmp_path):
+        path = self._file(tmp_path, f"1.0\n# c\n{token}\n4.0\n5.0\n")
+        assert self._error(path) == (
+            f"non-finite value at line 3 of {path}: {token!r}"
+        )
+
+    def test_first_offending_line_wins(self, tmp_path):
+        path = self._file(tmp_path, "# head\n1.0\n\ninf\nabc\n2.0\n")
+        assert self._error(path) == f"non-finite value at line 4 of {path}: 'inf'"
+        path = self._file(tmp_path, "# head\n1.0\n\nabc\nnan\n2.0\n")
+        assert self._error(path) == f"parse error at line 4 of {path}: 'abc'"
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5")
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x0c"])
+    def test_unicode_line_breaks_stay_in_line(self, separator, tmp_path):
+        line = f"1.5{separator}2.5"
+        path = self._file(tmp_path, f"1.0\n2.0\n{line}\n4.0\n5.0\n")
+        assert self._error(path) == f"parse error at line 3 of {path}: {line!r}"
 
     def test_parsing_scales_linearly(self, tmp_path):
         # ten times the lines must cost well under fifteen times the time
@@ -220,6 +295,23 @@ class TestTestCommand:
             "table holds [0.01, 0.05, 0.1]\n"
         )
 
+    def test_too_short_series_fails_before_simulating(self, tmp_path,
+                                                      monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "critical_values",
+                            lambda *args: calls.append(args))
+        path = tmp_path / "short.txt"
+        path.write_text("1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n")
+        code = main(
+            ["test", "--input", str(path), "--hurst", "0.7", "--seed", "1"]
+        )
+        assert code == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: window (0.15, 0.85) is too narrow for n=6: admissible "
+            "splits [0, 5] must lie in [1, 5]\n"
+        )
+
     def test_verdict_written_to_file(self, data_file, cv_file, tmp_path):
         out = tmp_path / "verdict.json"
         code = main(
@@ -304,6 +396,31 @@ class TestExperimentCommand:
         assert rows[0]["kind"] == "size"
         assert 0.0 <= rows[0]["rejection_rate"] <= 1.0
         assert rows[0]["cv_source"] == "file"
+
+    def test_json_reports_statistic_summary_and_standard_error(
+            self, cv_file, tmp_path, capsys):
+        argv = [
+            "experiment", "--kind", "power", "--hurst", "0.7", "--n", "50",
+            "--delta", "1.0", "--reps", "60", "--seed", "1",
+            "--cv", str(cv_file),
+        ]
+        assert main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        out = tmp_path / "rows.json"
+        assert main(argv + ["--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text()) == [row]
+        table = CriticalValueTable.from_json(cv_file.read_text())
+        spec = ExperimentSpec(kind="power", hurst=0.7, n=50, replications=60,
+                              delta=1.0, master_seed=1)
+        (result,) = run_experiments([spec], table)
+        rate = row["rejection_rate"]
+        assert 0.0 < rate < 1.0
+        assert row["rejection_se"] == math.sqrt(rate * (1.0 - rate) / 60)
+        assert row["mean_statistic"] == result.mean_statistic
+        assert row["median_statistic"] == result.median_statistic
+        assert set(row) == set(CSV_COLUMNS) | {
+            "cv_source", "mean_statistic", "median_statistic", "rejection_se"
+        }
 
     def test_csv_output_has_pinned_columns(self, cv_file, tmp_path):
         out = tmp_path / "rows.csv"
