@@ -7,10 +7,12 @@ sample), ``critical-values`` (simulate the limit distribution),
 ``reproduce-tables`` (emit the four standard study tables).
 
 Machine-consumable first: results go to stdout as JSON unless --out is
-given.  Exit codes: 0 success, 1 runtime error, 2 usage error.  A JSON
-config file (--config) may supply any long flag by its underscored name,
-its value parsed as that flag's command-line text; explicit flags win and
-a null value leaves the flag at its default.
+given.  Exit codes: 0 success, 1 runtime error, 2 usage error, which
+includes any value a spec (TestWindow, LimitSimSpec, ExperimentSpec,
+FgnParams) rejects.  A JSON config file (--config) may supply any
+optional flag by its underscored name, its value parsed as that flag's
+command-line text; explicit flags win and a null value leaves the flag
+at its default.
 Randomized subcommands either take --seed (an integer in [0, 2**63)) or
 draw one and record it in the output, so every run is replayable.
 """
@@ -30,6 +32,7 @@ from .montecarlo import (
     reproduce_tables,
     run_experiment,  # noqa: F401  (tests patch it here)
     run_experiments,
+    write_csv,
 )
 from .rankstat import TimeSeries
 from .sntest import TestWindow, tn_statistic
@@ -81,10 +84,6 @@ def _raise_first_bad_line(path, lines):
             )
 
 
-def _auto_seed():
-    return secrets.randbits(63)
-
-
 def _seed_arg(text):
     """argparse type of --seed: an integer in [0, 2**63)."""
     try:
@@ -93,8 +92,7 @@ def _seed_arg(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit(payload, out=None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text, out=None):
     if out:
         with open(out, "w") as handle:
             handle.write(text)
@@ -102,58 +100,42 @@ def _emit(payload, out=None):
         sys.stdout.write(text)
 
 
-def _window(parser, args):
+def _emit(payload, out=None):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _spec(parser, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError is a usage error (exit 2)."""
     try:
-        return TestWindow(args.tau1, args.tau2)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        parser.error(f"--tau1/--tau2: {exc}")
+        parser.error(str(exc))
 
 
-def _check_hurst(parser, value, lower=0.0):
-    if value is None:
-        parser.error("--hurst is required")
-    if not lower < value < 1.0:
-        parser.error(f"--hurst must lie in ({lower}, 1), got {value}")
-    return value
+def _limit_spec(parser, args, **kwargs):
+    """The subcommand's LimitSimSpec: --hurst, window, --seed and ``kwargs``."""
+    window = _spec(parser, TestWindow, args.tau1, args.tau2)
+    return _spec(parser, LimitSimSpec, hurst=args.hurst, window=window,
+                 master_seed=args.seed, **kwargs)
 
 
-def _parse_levels(parser, text):
-    try:
-        levels = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        parser.error(f"--levels must be a comma list of probabilities, got {text!r}")
-    if any(not 0.0 < level < 1.0 for level in levels):
-        parser.error(f"--levels must lie strictly in (0, 1), got {text!r}")
-    return levels
-
-
-def _load_cv(parser, args, window, seed):
-    """Critical values from --cv file, else simulated with recorded seed."""
+def _load_cv(args, spec):
+    """Critical values from --cv file, else simulated from ``spec``."""
     if args.cv:
         with open(args.cv) as handle:
             table = CriticalValueTable.from_json(handle.read())
-        table.check_matches(args.hurst, window)
+        table.check_matches(spec.hurst, spec.window)
         return table, "file"
-    spec = LimitSimSpec(
-        hurst=args.hurst,
-        window=window,
-        levels=(args.level,),
-        master_seed=seed,
-    )
     return critical_values(spec), "simulated"
 
 
 def cmd_test(parser, args):
-    _check_hurst(parser, args.hurst, lower=0.5)
-    if not 0.0 < args.level < 1.0:
-        parser.error(f"--level must lie in (0, 1), got {args.level}")
-    window = _window(parser, args)
-    seed = args.seed if args.seed is not None else _auto_seed()
+    spec = _limit_spec(parser, args, levels=(args.level,))
     series = read_series(args.input)
-    window.split_range(series.n)  # a too-short series fails before simulating
-    cv_table, cv_source = _load_cv(parser, args, window, seed)
+    spec.window.split_range(series.n)  # too short: fails before simulating
+    cv_table, cv_source = _load_cv(args, spec)
     cv = cv_table.critical_value(args.level)
-    result = tn_statistic(series, window, critical_value=cv)
+    result = tn_statistic(series, spec.window, critical_value=cv)
     if result.tie_flag:
         print(
             "warning: ties in the input; midranks were used",
@@ -162,7 +144,7 @@ def cmd_test(parser, args):
     payload = {
         "n": series.n,
         "hurst": args.hurst,
-        "window": [window.tau1, window.tau2],
+        "window": [spec.window.tau1, spec.window.tau2],
         "statistic": result.statistic,
         "argmax_k": result.argmax_k,
         "level": args.level,
@@ -173,89 +155,57 @@ def cmd_test(parser, args):
         "cv_source": cv_source,
     }
     if cv_source == "simulated":
-        payload["cv_seed"] = seed
+        payload["cv_seed"] = args.seed
     _emit(payload, args.out)
     return 0
 
 
 def cmd_generate_fgn(parser, args):
-    _check_hurst(parser, args.hurst)
-    if args.length < 2:
-        parser.error(f"--length must be at least 2, got {args.length}")
-    seed = args.seed if args.seed is not None else _auto_seed()
-    sampler = build_sampler(FgnParams(args.hurst, args.length))
-    values = sample_fgn(sampler, seed)
+    params = _spec(parser, FgnParams, args.hurst, args.length)
+    values = sample_fgn(build_sampler(params), args.seed)
     np.savetxt(args.out, values, fmt="%.17g")
     _emit(
         {"out": args.out, "hurst": args.hurst, "length": args.length,
-         "seed": seed}
+         "seed": args.seed}
     )
     return 0
 
 
 def cmd_critical_values(parser, args):
-    _check_hurst(parser, args.hurst, lower=0.5)
-    levels = _parse_levels(parser, args.levels)
-    if args.reps < 100:
-        parser.error(f"--reps must be at least 100, got {args.reps}")
-    if args.grid < 100:
-        parser.error(f"--grid must be at least 100, got {args.grid}")
-    window = _window(parser, args)
-    seed = args.seed if args.seed is not None else _auto_seed()
-    spec = LimitSimSpec(
-        hurst=args.hurst,
-        grid_size=args.grid,
-        replications=args.reps,
-        window=window,
-        levels=levels,
-        master_seed=seed,
-    )
-    table = critical_values(spec)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(table.to_json())
-    else:
-        sys.stdout.write(table.to_json())
+    try:
+        levels = tuple(float(part) for part in args.levels.split(","))
+    except ValueError:
+        parser.error(f"--levels must be a comma list of probabilities, "
+                     f"got {args.levels!r}")
+    spec = _limit_spec(parser, args, grid_size=args.grid,
+                       replications=args.reps, levels=levels)
+    _write(critical_values(spec).to_json(), args.out)
     return 0
 
 
 def cmd_experiment(parser, args):
     kind = _KIND_ALIASES[args.kind]
-    _check_hurst(parser, args.hurst, lower=0.5)
-    if not 0.0 < args.level < 1.0:
-        parser.error(f"--level must lie in (0, 1), got {args.level}")
-    if not 0.0 < args.tau < 1.0:
-        parser.error(f"--tau must lie in (0, 1), got {args.tau}")
-    if args.reps < 1:
-        parser.error(f"--reps must be positive, got {args.reps}")
     try:
         n_list = [int(part) for part in str(args.n).split(",")]
     except ValueError:
         parser.error(f"--n must be an integer or comma list, got {args.n!r}")
-    window = _window(parser, args)
-    seed = args.seed if args.seed is not None else _auto_seed()
-    try:
-        specs = [
-            ExperimentSpec(
-                kind=kind, hurst=args.hurst, n=n, replications=args.reps,
-                delta=(args.delta if kind in ("power", "consistency") else 0.0),
-                tau=args.tau, c=args.c, level=args.level, window=window,
-                master_seed=seed,
-            )
-            for n in n_list
-        ]
-    except ValueError as exc:
-        parser.error(str(exc))
-    cv_table, cv_source = _load_cv(parser, args, window, seed)
+    limit_spec = _limit_spec(parser, args, levels=(args.level,))
+    specs = [
+        _spec(
+            parser, ExperimentSpec,
+            kind=kind, hurst=args.hurst, n=n, replications=args.reps,
+            delta=(args.delta if kind in ("power", "consistency") else 0.0),
+            tau=args.tau, c=args.c, level=args.level,
+            window=limit_spec.window, master_seed=args.seed,
+        )
+        for n in n_list
+    ]
+    cv_table, cv_source = _load_cv(args, limit_spec)
     results = run_experiments(specs, cv_table)
 
     if args.out and args.format == "csv":
-        import csv as csv_module
-
-        with open(args.out, "w", newline="") as handle:
-            writer = csv_module.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(result.to_csv_row() for result in results)
+        write_csv(args.out, CSV_COLUMNS,
+                  [result.to_csv_row() for result in results])
     else:
         payload = [
             {**result.to_csv_row(), "cv_source": cv_source,
@@ -269,14 +219,13 @@ def cmd_experiment(parser, args):
 
 
 def cmd_reproduce_tables(parser, args):
-    if args.scale <= 0:
-        parser.error(f"--scale must be positive, got {args.scale}")
-    seed = args.seed if args.seed is not None else _auto_seed()
-    window = _window(parser, args)
+    if not 0.0 < args.scale < math.inf:
+        parser.error(f"--scale must be positive and finite, got {args.scale}")
+    window = _spec(parser, TestWindow, args.tau1, args.tau2)
     paths = reproduce_tables(
-        args.out, scale=args.scale, master_seed=seed, window=window
+        args.out, scale=args.scale, master_seed=args.seed, window=window
     )
-    _emit({"seed": seed, "scale": args.scale, "files": paths})
+    _emit({"seed": args.seed, "scale": args.scale, "files": paths})
     return 0
 
 
@@ -424,6 +373,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)
+        # not required=True: a config file may supply it
+        if hasattr(args, "hurst") and args.hurst is None:
+            parser.error("--hurst is required")
+        if args.seed is None:
+            args.seed = secrets.randbits(63)
         return args.handler(parser, args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

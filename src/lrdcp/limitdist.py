@@ -60,7 +60,7 @@ class LimitSimSpec:
             raise ValueError(f"grid_size must be >= 100, got {self.grid_size}")
         if self.replications < 100:
             raise ValueError(
-                f"replications must be >= 100, got {self.replications}"
+                f"replications (reps) must be >= 100, got {self.replications}"
             )
         levels = tuple(self.levels)
         if not levels or any(not 0.0 < lv < 1.0 for lv in levels):

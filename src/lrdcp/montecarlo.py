@@ -60,8 +60,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+        # every experiment reads a limit table, which needs H in (0.5, 1)
+        if not 0.5 < self.hurst < 1.0:
+            raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got {self.n}")
         if self.replications < 1:
@@ -72,6 +73,11 @@ class ExperimentSpec:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        if not (math.isfinite(self.delta) and math.isfinite(self.c)):
+            raise ValueError(
+                f"delta and c must be finite, got delta={self.delta}, "
+                f"c={self.c}"
+            )
         if self.kind == "size" and self.delta != 0.0:
             raise ValueError("size experiments must have delta = 0")
         if self.kind in ("power", "consistency") and self.delta == 0.0:
@@ -255,7 +261,7 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
                 {"hurst": spec.hurst, "level": level,
                  "critical_value": table.critical_value(level)}
             )
-    tables["table1"] = _write_csv(
+    tables["table1"] = write_csv(
         os.path.join(out_dir, "table1.csv"),
         ("hurst", "level", "critical_value"), rows,
     )
@@ -267,7 +273,7 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
             {"hurst": spec.hurst, "n": spec.n, "level": spec.level,
              "reps": size_reps, "rejection_rate": _rate(next(cells), cv)}
         )
-    tables["table2"] = _write_csv(
+    tables["table2"] = write_csv(
         os.path.join(out_dir, "table2.csv"),
         ("hurst", "n", "level", "reps", "rejection_rate"), rows,
     )
@@ -283,7 +289,7 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
                      "tau": tau, "level": level, "reps": power_reps,
                      "rejection_rate": _rate(values, cv)}
                 )
-        tables[name] = _write_csv(
+        tables[name] = write_csv(
             os.path.join(out_dir, f"{name}.csv"),
             ("hurst", "n", "delta", "tau", "level", "reps",
              "rejection_rate"), rows,
@@ -313,7 +319,7 @@ def _rate(values, cv):
     return int((values > cv).sum()) / len(values)
 
 
-def _write_csv(path, columns, rows):
+def write_csv(path, columns, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()

@@ -155,16 +155,18 @@ class TestReadSeries:
         write(big, 1_000_000)
 
         def clock(path, expected):
-            best = float("inf")
-            for _ in range(2):
-                start = time.perf_counter()
-                series = read_series(path)
-                best = min(best, time.perf_counter() - start)
+            start = time.perf_counter()
+            series = read_series(path)
+            elapsed = time.perf_counter() - start
             assert series.n == expected
-            return best
+            return elapsed
 
-        ratio = clock(big, 1_000_000) / clock(small, 100_000)
-        assert ratio < 15.0
+        # the sizes alternate, so a slow phase of the host hits both
+        small_best = big_best = float("inf")
+        for _ in range(3):
+            small_best = min(small_best, clock(small, 100_000))
+            big_best = min(big_best, clock(big, 1_000_000))
+        assert big_best / small_best < 15.0
 
 
 class TestGenerateFgn:
@@ -361,6 +363,83 @@ class TestCriticalValuesCommand:
             main(["critical-values", "--hurst", "0.7", "--reps", "50"])
         assert excinfo.value.code == 2
         assert "reps" in capsys.readouterr().err
+
+
+_VALID_ARGV = {
+    "test": ["test", "--input", "x.txt", "--hurst", "0.7"],
+    "generate-fgn": ["generate-fgn", "--hurst", "0.7", "--length", "16",
+                     "--out", "x.txt"],
+    "critical-values": ["critical-values", "--hurst", "0.7"],
+    "experiment": ["experiment", "--kind", "size", "--hurst", "0.7",
+                   "--n", "50"],
+    "reproduce-tables": ["reproduce-tables", "--out", "tables"],
+}
+
+# (subcommand, flags appended to its valid argv, text of the last line);
+# "<cv>" stands for a valid critical-value table for H = 0.7
+_SPEC_REJECTED = [
+    ("test", ["--hurst", "nan"], "hurst must lie in (0.5, 1)"),
+    ("test", ["--hurst", "0.3"], "hurst must lie in (0.5, 1)"),
+    ("test", ["--hurst", "1.5"], "hurst must lie in (0.5, 1)"),
+    ("test", ["--hurst", "1.5", "--cv", "<cv>"], "hurst must lie in (0.5, 1)"),
+    ("test", ["--level", "1.0", "--cv", "<cv>"], "levels must lie"),
+    ("test", ["--tau1", "0.9"], "window must satisfy"),
+    ("generate-fgn", ["--hurst", "nan"], "hurst must lie in (0, 1)"),
+    ("generate-fgn", ["--hurst", "1.5"], "hurst must lie in (0, 1)"),
+    ("generate-fgn", ["--length", "1"], "length must be at least 2"),
+    ("critical-values", ["--hurst", "nan"], "hurst must lie in (0.5, 1)"),
+    ("critical-values", ["--hurst", "0.3"], "hurst must lie in (0.5, 1)"),
+    ("critical-values", ["--hurst", "1.5"], "hurst must lie in (0.5, 1)"),
+    ("critical-values", ["--reps", "50"], "replications (reps)"),
+    ("critical-values", ["--grid", "50"], "grid_size must be >= 100"),
+    ("critical-values", ["--levels", "0.5,1.5"], "levels must lie"),
+    ("critical-values", ["--tau1", "0.9"], "window must satisfy"),
+    ("experiment", ["--hurst", "nan"], "hurst must lie in (0.5, 1)"),
+    ("experiment", ["--hurst", "0.3"], "hurst must lie in (0.5, 1)"),
+    ("experiment", ["--hurst", "1.5", "--cv", "<cv>"],
+     "hurst must lie in (0.5, 1)"),
+    ("experiment", ["--level", "1.0"], "levels must lie"),
+    ("experiment", ["--tau", "0"], "tau must lie in (0, 1)"),
+    ("experiment", ["--tau1", "0.9"], "window must satisfy"),
+    ("experiment", ["--reps", "0"], "replications must be positive"),
+    ("experiment", ["--kind", "power", "--delta", "nan"], "must be finite"),
+    ("experiment", ["--kind", "power", "--delta", "inf"], "must be finite"),
+    ("experiment", ["--kind", "local-alt", "--c", "inf"], "must be finite"),
+    ("experiment", ["--kind", "local-alt", "--c", "nan"], "must be finite"),
+    ("reproduce-tables", ["--scale", "inf"], "--scale must be positive"),
+    ("reproduce-tables", ["--scale", "nan"], "--scale must be positive"),
+    ("reproduce-tables", ["--scale", "0"], "--scale must be positive"),
+    ("reproduce-tables", ["--tau1", "0.9"], "window must satisfy"),
+]
+
+
+class TestSpecRejection:
+    """A value a spec rejects is a one-line usage error before any work."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message", _SPEC_REJECTED,
+        ids=[f"{command} {' '.join(flags)}"
+             for command, flags, _ in _SPEC_REJECTED],
+    )
+    def test_usage_error_before_any_work(self, command, flags, message,
+                                         cv_file, tmp_path, monkeypatch,
+                                         capsys):
+        calls = []
+        for name in ("critical_values", "run_experiments", "read_series",
+                     "reproduce_tables"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        flags = [str(cv_file) if flag == "<cv>" else flag for flag in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main(_VALID_ARGV[command] + flags)
+        assert excinfo.value.code == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("lrdcp: error:") and message in last
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestThreadEnvironment:

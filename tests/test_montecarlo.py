@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ class TestSpecValidation:
             ExperimentSpec(kind="size", hurst=0.7, n=100, replications=10, level=0.0)
         with pytest.raises(ValueError, match="hurst"):
             ExperimentSpec(kind="size", hurst=1.7, n=100, replications=10)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.3])
+    def test_hurst_outside_long_range_dependence(self, hurst):
+        with pytest.raises(ValueError, match=r"hurst must lie in \(0\.5, 1\)"):
+            ExperimentSpec(kind="size", hurst=hurst, n=100, replications=10)
+
+    @pytest.mark.parametrize(
+        "kind, shift",
+        [
+            ("power", {"delta": math.nan}),
+            ("power", {"delta": math.inf}),
+            ("consistency", {"delta": -math.inf}),
+            ("local_alternative", {"c": math.nan}),
+            ("local_alternative", {"c": math.inf}),
+        ],
+    )
+    def test_non_finite_shift(self, kind, shift):
+        with pytest.raises(ValueError, match="must be finite"):
+            ExperimentSpec(kind=kind, hurst=0.7, n=100, replications=10,
+                           **shift)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 63])
     def test_seed_outside_range(self, seed):
