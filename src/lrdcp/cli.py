@@ -194,7 +194,7 @@ def cmd_experiment(parser, args):
         _spec(
             parser, ExperimentSpec,
             kind=kind, hurst=args.hurst, n=n, replications=args.reps,
-            delta=(args.delta if kind in ("power", "consistency") else 0.0),
+            delta=args.delta,
             tau=args.tau, c=args.c, level=args.level,
             window=limit_spec.window, master_seed=args.seed,
         )

@@ -152,20 +152,23 @@ def _philox_state(master_seed, replication, stream):
 def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     """Draw one fGn series per replication index; shape (len, n).
 
-    Row r is a pure function of (params, master_seed, replications[r],
-    stream), independent of how the indices are grouped into blocks.  One
-    Philox generator serves the call: its state is reset to each
-    replication's key before that row's normals are drawn.  Rows go
-    through the draw, the amplitudes and the inverse FFT in blocks of
-    about ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal
-    and one amplitude buffer.
+    ``master_seed`` must lie in [0, 2**63).  Row r is a pure function of
+    (params, master_seed, replications[r], stream), independent of how
+    the indices are grouped into blocks.  One Philox generator serves the
+    call: its state is reset to each replication's key before that row's
+    normals are drawn.  Rows go through the draw, the amplitudes and the
+    inverse FFT in blocks of about ``_parallel.BLOCK_BYTES`` of normals,
+    which reuse one normal and one amplitude buffer; the amplitudes are
+    written into that buffer's real and imaginary parts, with no complex
+    temporaries.
     """
+    check_seed(master_seed)
     m = sampler.embedding_size
     n = sampler.params.length
     reps = list(replications)
     weights = np.sqrt(sampler.spectral_weights)
     root_2m = np.sqrt(2.0 * m)
-    root_m = np.sqrt(float(m))
+    scale = np.sqrt(float(m)) * weights[1:m]
     bit_generator = np.random.Philox()
     generator = np.random.Generator(bit_generator)
     block = max(1, min(len(reps), _parallel.BLOCK_BYTES // (16 * m)))
@@ -181,9 +184,8 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
             generator.standard_normal(out=wb[i])
         ab[:, 0] = root_2m * weights[0] * wb[:, 0]
         ab[:, m] = root_2m * weights[m] * wb[:, 1]
-        ab[:, 1:m] = root_m * weights[1:m] * (
-            wb[:, 2 : m + 1] + 1j * wb[:, m + 1 :]
-        )
+        np.multiply(scale, wb[:, 2 : m + 1], out=ab.real[:, 1:m])
+        np.multiply(scale, wb[:, m + 1 :], out=ab.imag[:, 1:m])
         out[lo : lo + len(ab)] = np.fft.irfft(ab, 2 * m, axis=-1)[:, :n]
     return out
 
@@ -192,7 +194,7 @@ def sample_fgn(sampler, seed):
     """One stationary Gaussian vector with mean 0 and autocovariance gamma.
 
     Deterministic in (sampler.params, seed); equals replication 0 of
-    stream 0 under master seed ``seed``.
+    stream 0 under master seed ``seed``, which must lie in [0, 2**63).
     """
     return sample_fgn_block(sampler, seed, [0])[0]
 

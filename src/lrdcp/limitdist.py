@@ -17,10 +17,9 @@ Critical values are upper empirical quantiles: the order statistic of
 rank ceil((1 - level) * R), no interpolation.
 """
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,7 +178,9 @@ class SimChunk:
 
     The series gets ``shift`` added from ``change_index`` on, and is
     scored by the rank kernel (``use_ranks``) or the value kernel.  The
-    limit law is the unranked, unshifted case on ``STREAM_LIMIT``.
+    limit law is the unranked, unshifted case on ``STREAM_LIMIT``.  The
+    task with ``shift`` and ``change_index`` cleared is its draw key: the
+    fGn block depends on nothing else.
     """
 
     hurst: float
@@ -202,33 +203,54 @@ def chunk_tasks(replications, **fields):
     ]
 
 
-def simulate_chunk(task):
-    """Statistic values of one chunk, a pure function of the task."""
-    sampler = build_sampler(FgnParams(task.hurst, task.n))
-    series = sample_fgn_block(
-        sampler, task.master_seed, range(task.lo, task.hi), stream=task.stream
+def simulate_chunk(tasks):
+    """Statistic values of each chunk task of one draw key, in task order.
+
+    The tasks differ at most in ``shift`` and ``change_index``, so one
+    block of fGn serves them all.  A shifted task scores a shifted copy
+    of the block, except the last task, which shifts the block itself.
+    Every value is a pure function of its task.
+    """
+    first = tasks[0]
+    sampler = build_sampler(FgnParams(first.hurst, first.n))
+    block = sample_fgn_block(
+        sampler, first.master_seed, range(first.lo, first.hi),
+        stream=first.stream,
     )
-    if task.shift != 0.0:
-        series[:, task.change_index:] += task.shift
-    k_lo, k_hi = task.window.split_range(task.n)
-    return batch_tn_from_values(series, k_lo, k_hi, use_ranks=task.use_ranks)
+    k_lo, k_hi = first.window.split_range(first.n)
+    values = []
+    for i, task in enumerate(tasks):
+        series = block
+        if task.shift != 0.0:
+            if i < len(tasks) - 1:
+                series = block.copy()
+            series[:, task.change_index:] += task.shift
+        values.append(
+            batch_tn_from_values(series, k_lo, k_hi, use_ranks=task.use_ranks)
+        )
+    return values
 
 
 def simulate_cells(cells):
     """Values of each cell (a list of chunk tasks), from one chunked map.
 
-    Every chunk of every cell is dispatched at once, in cell order, so a
-    process pool starts at most once; each cell's values come back in
-    replication order.
+    Tasks that differ only in ``shift`` and ``change_index`` share a draw
+    key; the map runs once per key, in the order the keys are first asked
+    for, so a process pool starts at most once and each distinct chunk of
+    fGn is drawn once.  Each cell's values come back in replication order.
     """
-    values = _parallel.chunked_map(
-        simulate_chunk, [task for cell in cells for task in cell]
-    )
-    ends = list(itertools.accumulate(len(cell) for cell in cells))
-    return [
-        np.concatenate(values[end - len(cell):end])
-        for cell, end in zip(cells, ends)
-    ]
+    keys = {}
+    for cell in cells:
+        for task in cell:
+            key = replace(task, shift=0.0, change_index=0)
+            keys.setdefault(key, {})[task] = None
+    groups = [tuple(tasks) for tasks in keys.values()]
+    values = {}
+    for group, group_values in zip(
+        groups, _parallel.chunked_map(simulate_chunk, groups)
+    ):
+        values.update(zip(group, group_values))
+    return [np.concatenate([values[task] for task in cell]) for cell in cells]
 
 
 def limit_tasks(spec):

@@ -242,7 +242,8 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
         for _, tau in power_tables
     }
     # every chunk of every cell in one map, read back below in the same
-    # order; critical values only enter at aggregation
+    # order; each power cell shares the draws of the size cell at its
+    # (H, n), and critical values only enter at aggregation
     cells = iter(simulate_cells(
         [limit_tasks(spec) for spec in limit_specs]
         + [experiment_tasks(spec) for spec in size_specs]

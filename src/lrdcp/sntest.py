@@ -111,13 +111,16 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     second += dk_m**2 * sum_msq
     denom = first + second
 
-    tol = DEN_TOL * n * (1.0 + dk * dk)
-    num_tol = NUM_TOL * (1.0 + np.asarray(num_scale, dtype=np.float64))
+    abs_dk = np.abs(dk)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gn = np.abs(dk) / np.sqrt(denom / n)
-    degenerate = denom < tol
-    gn = np.where(degenerate, np.where(np.abs(dk) > num_tol, np.inf, 0.0), gn)
-    return gn, degenerate.any(axis=-1)
+        gn = abs_dk / np.sqrt(denom / n)
+    degenerate = denom < DEN_TOL * n * (1.0 + dk * dk)
+    flags = degenerate.any(axis=-1)
+    # rank profiles of continuous data never reach the degenerate rule
+    if flags.any():
+        num_tol = NUM_TOL * (1.0 + np.asarray(num_scale, dtype=np.float64))
+        gn = np.where(degenerate, np.where(abs_dk > num_tol, np.inf, 0.0), gn)
+    return gn, flags
 
 
 def _tn_rows(values, k_lo, k_hi, use_ranks):

@@ -220,7 +220,9 @@ class TestGenerateFgn:
                 ]
             )
         assert excinfo.value.code == 2
-        assert "hurst" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("lrdcp: error:")
+        assert "hurst must lie in (0, 1)" in last
 
 
 class TestTestCommand:
@@ -362,7 +364,9 @@ class TestCriticalValuesCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["critical-values", "--hurst", "0.7", "--reps", "50"])
         assert excinfo.value.code == 2
-        assert "reps" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("lrdcp: error:")
+        assert "replications (reps) must be >= 100" in last
 
 
 _VALID_ARGV = {
@@ -404,6 +408,9 @@ _SPEC_REJECTED = [
     ("experiment", ["--reps", "0"], "replications must be positive"),
     ("experiment", ["--kind", "power", "--delta", "nan"], "must be finite"),
     ("experiment", ["--kind", "power", "--delta", "inf"], "must be finite"),
+    ("experiment", ["--delta", "1"], "size experiments must have delta = 0"),
+    ("experiment", ["--kind", "local-alt", "--c", "2", "--delta", "1"],
+     "take c, not a fixed delta"),
     ("experiment", ["--kind", "local-alt", "--c", "inf"], "must be finite"),
     ("experiment", ["--kind", "local-alt", "--c", "nan"], "must be finite"),
     ("reproduce-tables", ["--scale", "inf"], "--scale must be positive"),
@@ -589,7 +596,9 @@ class TestExperimentCommand:
                 ]
             )
         assert excinfo.value.code == 2
-        assert "delta" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("lrdcp: error:")
+        assert "power experiments must have delta != 0" in last
 
 
 class TestConfigFile:

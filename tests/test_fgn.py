@@ -161,14 +161,22 @@ class TestBlockMatchesPerReplicationReference:
         expected = reference_block(sampler, 12345, reps, stream)
         assert block.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("seed", [0, (1 << 62) + 5, (1 << 63) + 17])
+    @pytest.mark.parametrize("seed", [0, (1 << 62) + 5, (1 << 63) - 1])
     def test_direct_stream_across_seed_words(self, seed):
-        # a seed word >= 2**63 takes NumPy's float64 path for list keys;
-        # the block must key its generator the same way
         sampler = build_sampler(FgnParams(0.6, 300))
         block = sample_fgn_block(sampler, seed, range(3))
         expected = reference_block(sampler, seed, range(3), fgn.STREAM_DIRECT)
         assert block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 63, (1 << 63) + 17])
+    def test_seed_outside_range_rejected(self, seed):
+        # a seed word >= 2**63 takes NumPy's float64 path for list keys,
+        # where neighbouring seeds would share their draws
+        sampler = build_sampler(FgnParams(0.6, 300))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            sample_fgn_block(sampler, seed, range(3))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            sample_fgn(sampler, seed)
 
 
 class TestRowBlocks:

@@ -18,7 +18,7 @@ from lrdcp import (
     run_experiments,
     simulate_statistics,
 )
-from lrdcp import _parallel, montecarlo
+from lrdcp import _parallel, limitdist, montecarlo
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 
 
@@ -312,6 +312,52 @@ class TestRunExperiments:
             run_experiments(specs, cv_table)
 
 
+SHARED_SPECS = (
+    ExperimentSpec(kind="size", hurst=0.7, n=80, replications=1200,
+                   master_seed=8),
+    ExperimentSpec(kind="power", hurst=0.7, n=80, replications=1200,
+                   delta=1.0, master_seed=8),
+    ExperimentSpec(kind="power", hurst=0.7, n=80, replications=700,
+                   delta=2.0, tau=0.25, master_seed=8),
+    ExperimentSpec(kind="local_alternative", hurst=0.7, n=80,
+                   replications=1200, c=3.0, master_seed=8),
+)
+
+
+class TestSharedDraws:
+    @pytest.fixture(scope="class")
+    def standalone(self):
+        return [simulate_statistics(spec) for spec in SHARED_SPECS]
+
+    @pytest.mark.parametrize("order", ["unshifted_first", "unshifted_last"])
+    def test_each_chunk_drawn_once_for_every_cell(self, order, standalone,
+                                                  monkeypatch):
+        index = list(range(len(SHARED_SPECS)))
+        if order == "unshifted_last":
+            # the size cell's task comes last in each group, so the
+            # shifted cells before it score copies of the block
+            index = index[1:] + index[:1]
+        drawn = []
+        sample_fgn_block = limitdist.sample_fgn_block
+
+        def counting_draw(sampler, master_seed, replications, stream):
+            drawn.append((replications.start, replications.stop))
+            return sample_fgn_block(sampler, master_seed, replications,
+                                    stream)
+
+        monkeypatch.setenv("LRD_CP_THREADS", "1")
+        monkeypatch.setattr(limitdist, "sample_fgn_block", counting_draw)
+        cells = limitdist.simulate_cells(
+            [montecarlo.experiment_tasks(SHARED_SPECS[i]) for i in index]
+        )
+        # the 700-replication cell ends in a chunk of its own, [500, 700)
+        assert sorted(drawn) == [
+            (0, 500), (500, 700), (500, 1000), (1000, 1200)
+        ]
+        for i, values in zip(index, cells):
+            assert values.tobytes() == standalone[i].tobytes()
+
+
 # every replication count at its floor of 200
 TABLES_SCALE = 0.002
 TABLES_REPS = 200
@@ -397,9 +443,10 @@ class TestReproduceTables:
         assert reproduced["1"][0] == reproduced["2"][0]
 
     def test_one_map_over_every_chunk(self, reproduced):
-        # 4 limit cells, 20 size cells, 48 power cells: one chunk each
+        # 4 limit cells and 20 size cells of one chunk each; the 48 power
+        # cells share the draw keys of the size cells at their (H, n)
         for _, maps in reproduced.values():
-            assert maps == [72]
+            assert maps == [24]
 
     def test_equals_per_cell_reference(self, reproduced):
         assert reproduced["2"][0] == per_cell_tables()
