@@ -30,8 +30,8 @@ from .montecarlo import (
     CSV_COLUMNS,
     ExperimentSpec,
     reproduce_tables,
-    run_experiment,  # noqa: F401  (tests patch it here)
     run_experiments,
+    table_replications,
     write_csv,
 )
 from .rankstat import TimeSeries
@@ -221,6 +221,7 @@ def cmd_experiment(parser, args):
 def cmd_reproduce_tables(parser, args):
     if not 0.0 < args.scale < math.inf:
         parser.error(f"--scale must be positive and finite, got {args.scale}")
+    _spec(parser, table_replications, args.scale)
     window = _spec(parser, TestWindow, args.tau1, args.tau2)
     paths = reproduce_tables(
         args.out, scale=args.scale, master_seed=args.seed, window=window

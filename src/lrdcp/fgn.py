@@ -26,7 +26,10 @@ import numpy as np
 from . import _parallel
 
 _KEY_MASK = (1 << 64) - 1
-_REP_MASK = (1 << 48) - 1
+#: replication indices lie in [0, REPLICATION_LIMIT): a Philox key keeps
+#: 48 bits of the index, so replications r and r + 2**48 would share a draw
+REPLICATION_LIMIT = 1 << 48
+_REP_MASK = REPLICATION_LIMIT - 1
 _MAX_DOUBLINGS = 4
 
 #: relative tolerance for clamping FFT round-off in the eigenvalues

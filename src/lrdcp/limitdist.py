@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _parallel
 from .fgn import (
+    REPLICATION_LIMIT,
     STREAM_LIMIT,
     FgnParams,
     build_sampler,
@@ -57,9 +58,10 @@ class LimitSimSpec:
             )
         if self.grid_size < 100:
             raise ValueError(f"grid_size must be >= 100, got {self.grid_size}")
-        if self.replications < 100:
+        if not 100 <= self.replications <= REPLICATION_LIMIT:
             raise ValueError(
-                f"replications (reps) must be >= 100, got {self.replications}"
+                f"replications (reps) must be >= 100 and <= 2**48, "
+                f"got {self.replications}"
             )
         levels = tuple(self.levels)
         if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
@@ -111,7 +113,7 @@ class CriticalValueTable:
             "reps": self.replications,
             "seed": self.master_seed,
             "generator": self.generator,
-            "quantiles": {f"{lv:g}": q for lv, q in self.quantiles.items()},
+            "quantiles": {repr(float(lv)): q for lv, q in self.quantiles.items()},
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -13,17 +13,22 @@ Shift conventions:
     local_alternative  height c * n^{H-1} after floor(n * tau), the
                        n^{-1} d_n scaling under which the statistic has a
                        nondegenerate limit (d_n = n^H exactly for fGn)
+
+Every row of the size and power study tables is one ExperimentSpec,
+aggregated as in ``experiment`` and written as its ``to_csv_row`` projected
+onto the table's columns; a power cell's two level rows share its chunks.
 """
 
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import STREAM_EXPERIMENT, check_seed
+from .fgn import REPLICATION_LIMIT, STREAM_EXPERIMENT, check_seed
 from .limitdist import (
     LimitSimSpec,
     chunk_tasks,
@@ -65,9 +70,10 @@ class ExperimentSpec:
             raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got {self.n}")
-        if self.replications < 1:
+        if not 1 <= self.replications <= REPLICATION_LIMIT:
             raise ValueError(
-                f"replications must be positive, got {self.replications}"
+                f"replications must be positive and at most 2**48, "
+                f"got {self.replications}"
             )
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
@@ -85,6 +91,11 @@ class ExperimentSpec:
         if self.kind == "local_alternative" and self.delta != 0.0:
             raise ValueError(
                 "local_alternative experiments take c, not a fixed delta"
+            )
+        if self.kind != "local_alternative" and self.c != 0.0:
+            raise ValueError(
+                f"{self.kind} experiments must have c = 0 (c scales the "
+                f"local_alternative shift)"
             )
         self.window.split_range(self.n)
         check_seed(self.master_seed)
@@ -199,130 +210,112 @@ TABLE_POWER_NS = (100, 500)
 TABLE_DELTAS = (0.5, 1.0, 2.0)
 TABLE_POWER_LEVELS = (0.10, 0.05)
 
+# each table's CSV columns; table2-4 project ExperimentResult.to_csv_row
+TABLE_COLUMNS = {
+    "table1": ("hurst", "level", "critical_value"),
+    "table2": ("hurst", "n", "level", "reps", "rejection_rate"),
+}
+TABLE_COLUMNS["table3"] = TABLE_COLUMNS["table4"] = (
+    "hurst", "n", "delta", "tau", "level", "reps", "rejection_rate"
+)
 
-def _scaled(reps, scale):
-    return max(int(round(reps * scale)), 200)
+
+def table_replications(scale):
+    """Replication count of each table's cells at ``scale``, floor 200.
+
+    Raises ValueError if a count would exceed ``REPLICATION_LIMIT``.
+    """
+    full = {"critical_values": 10000, "size": 10000, "power": 5000}
+    if not scale * max(full.values()) <= REPLICATION_LIMIT:
+        raise ValueError(
+            f"scale must keep every replication count at most 2**48, "
+            f"got {scale}"
+        )
+    return {name: max(int(round(reps * scale)), 200)
+            for name, reps in full.items()}
 
 
 def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
     """Emit the four standard study tables as CSV files plus a manifest.
 
     table1: critical values; table2: empirical size at the 5% level;
-    table3/table4: empirical power for tau = 0.5 / 0.25.  ``scale``
-    multiplies the replication counts (floor 200) for smoke runs.
+    table3/table4: empirical power for tau = 0.5 / 0.25 at the 10% and
+    5% levels.  Each row of table2-4 is one ``ExperimentSpec``, scored
+    against table1's critical value for its H.  ``scale`` multiplies the
+    replication counts (floor 200) for smoke runs.
     """
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    cv_reps = _scaled(10000, scale)
-    size_reps = _scaled(10000, scale)
-    power_reps = _scaled(5000, scale)
-
+    replications = table_replications(scale)
     limit_specs = [
-        LimitSimSpec(hurst=hurst, replications=cv_reps, window=window,
-                     master_seed=master_seed)
+        LimitSimSpec(hurst=hurst, replications=replications["critical_values"],
+                     window=window, master_seed=master_seed)
         for hurst in TABLE_HURSTS
     ]
-    size_specs = [
-        ExperimentSpec(kind="size", hurst=hurst, n=n, replications=size_reps,
-                       window=window, master_seed=master_seed)
+    table_specs = {"table2": [
+        ExperimentSpec(kind="size", hurst=hurst, n=n,
+                       replications=replications["size"], window=window,
+                       master_seed=master_seed)
         for hurst in TABLE_HURSTS for n in TABLE_SIZE_NS
-    ]
-    # one simulation per power cell serves every level
-    power_tables = (("table3", 0.5), ("table4", 0.25))
-    power_specs = {
-        tau: [
+    ]}
+    for name, tau in (("table3", 0.5), ("table4", 0.25)):
+        table_specs[name] = [
             ExperimentSpec(kind="power", hurst=hurst, n=n,
-                           replications=power_reps, delta=delta, tau=tau,
-                           window=window, master_seed=master_seed)
+                           replications=replications["power"], delta=delta,
+                           tau=tau, level=level, window=window,
+                           master_seed=master_seed)
             for hurst in TABLE_HURSTS for n in TABLE_POWER_NS
-            for delta in TABLE_DELTAS
+            for delta in TABLE_DELTAS for level in TABLE_POWER_LEVELS
         ]
-        for _, tau in power_tables
-    }
-    # every chunk of every cell in one map, read back below in the same
-    # order; each power cell shares the draws of the size cell at its
-    # (H, n), and critical values only enter at aggregation
+    os.makedirs(out_dir, exist_ok=True)
+    # every chunk of every row in one map, read back below in the same
+    # order: a power cell's two level rows ask for the same chunk tasks,
+    # and each power cell shares the draws of the size cell at its (H, n),
+    # so each chunk is scored and each block of fGn drawn once
     cells = iter(simulate_cells(
         [limit_tasks(spec) for spec in limit_specs]
-        + [experiment_tasks(spec) for spec in size_specs]
         + [experiment_tasks(spec)
-           for specs in power_specs.values() for spec in specs]
+           for specs in table_specs.values() for spec in specs]
     ))
-
-    tables = {}
-    cv_tables = {}
-    rows = []
-    for spec in limit_specs:
-        table = critical_value_table(spec, next(cells))
-        cv_tables[spec.hurst] = table
-        for level in spec.levels:
-            rows.append(
-                {"hurst": spec.hurst, "level": level,
-                 "critical_value": table.critical_value(level)}
-            )
-    tables["table1"] = write_csv(
-        os.path.join(out_dir, "table1.csv"),
-        ("hurst", "level", "critical_value"), rows,
-    )
-
-    rows = []
-    for spec in size_specs:
-        cv = cv_tables[spec.hurst].critical_value(spec.level)
-        rows.append(
-            {"hurst": spec.hurst, "n": spec.n, "level": spec.level,
-             "reps": size_reps, "rejection_rate": _rate(next(cells), cv)}
-        )
-    tables["table2"] = write_csv(
-        os.path.join(out_dir, "table2.csv"),
-        ("hurst", "n", "level", "reps", "rejection_rate"), rows,
-    )
-
-    for name, tau in power_tables:
-        rows = []
-        for spec in power_specs[tau]:
-            values = next(cells)
-            for level in TABLE_POWER_LEVELS:
-                cv = cv_tables[spec.hurst].critical_value(level)
-                rows.append(
-                    {"hurst": spec.hurst, "n": spec.n, "delta": spec.delta,
-                     "tau": tau, "level": level, "reps": power_reps,
-                     "rejection_rate": _rate(values, cv)}
-                )
-        tables[name] = write_csv(
-            os.path.join(out_dir, f"{name}.csv"),
-            ("hurst", "n", "delta", "tau", "level", "reps",
-             "rejection_rate"), rows,
-        )
-
+    seconds = time.perf_counter() - start
+    cv_tables = {spec.hurst: critical_value_table(spec, next(cells))
+                 for spec in limit_specs}
+    tables = {"table1": [
+        {"hurst": hurst, "level": level, "critical_value": cv}
+        for hurst, table in cv_tables.items()
+        for level, cv in table.quantiles.items()
+    ]}
+    for name, specs in table_specs.items():
+        tables[name] = [
+            _aggregate(spec, next(cells),
+                       _critical_value(spec, cv_tables[spec.hurst]),
+                       seconds).to_csv_row()
+            for spec in specs
+        ]
+    paths = {
+        name: write_csv(os.path.join(out_dir, f"{name}.csv"),
+                        TABLE_COLUMNS[name], table_rows)
+        for name, table_rows in tables.items()
+    }
     manifest = {
         "master_seed": master_seed,
         "scale": scale,
         "window": [window.tau1, window.tau2],
-        "replications": {
-            "critical_values": cv_reps, "size": size_reps,
-            "power": power_reps,
-        },
+        "replications": replications,
         "seconds": round(time.perf_counter() - start, 3),
         "files": {name: os.path.basename(path)
-                  for name, path in tables.items()},
+                  for name, path in paths.items()},
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as handle:
+    paths["manifest"] = os.path.join(out_dir, "manifest.json")
+    with open(paths["manifest"], "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    tables["manifest"] = manifest_path
-    return tables
-
-
-def _rate(values, cv):
-    return int((values > cv).sum()) / len(values)
+    return paths
 
 
 def write_csv(path, columns, rows):
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
+        writer = csv.DictWriter(handle, fieldnames=columns,
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     return path

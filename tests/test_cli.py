@@ -395,6 +395,7 @@ _SPEC_REJECTED = [
     ("critical-values", ["--hurst", "0.3"], "hurst must lie in (0.5, 1)"),
     ("critical-values", ["--hurst", "1.5"], "hurst must lie in (0.5, 1)"),
     ("critical-values", ["--reps", "50"], "replications (reps)"),
+    ("critical-values", ["--reps", str(2**48 + 1)], "<= 2**48"),
     ("critical-values", ["--grid", "50"], "grid_size must be >= 100"),
     ("critical-values", ["--levels", "0.5,1.5"], "levels must lie"),
     ("critical-values", ["--tau1", "0.9"], "window must satisfy"),
@@ -406,16 +407,26 @@ _SPEC_REJECTED = [
     ("experiment", ["--tau", "0"], "tau must lie in (0, 1)"),
     ("experiment", ["--tau1", "0.9"], "window must satisfy"),
     ("experiment", ["--reps", "0"], "replications must be positive"),
+    ("experiment", ["--reps", str(2**48 + 1)], "at most 2**48"),
     ("experiment", ["--kind", "power", "--delta", "nan"], "must be finite"),
     ("experiment", ["--kind", "power", "--delta", "inf"], "must be finite"),
     ("experiment", ["--delta", "1"], "size experiments must have delta = 0"),
     ("experiment", ["--kind", "local-alt", "--c", "2", "--delta", "1"],
      "take c, not a fixed delta"),
+    ("experiment", ["--c", "3"], "size experiments must have c = 0"),
+    ("experiment", ["--kind", "power", "--delta", "1", "--c", "3"],
+     "power experiments must have c = 0"),
+    ("experiment", ["--kind", "consistency", "--delta", "1", "--c", "-1"],
+     "consistency experiments must have c = 0"),
     ("experiment", ["--kind", "local-alt", "--c", "inf"], "must be finite"),
     ("experiment", ["--kind", "local-alt", "--c", "nan"], "must be finite"),
     ("reproduce-tables", ["--scale", "inf"], "--scale must be positive"),
     ("reproduce-tables", ["--scale", "nan"], "--scale must be positive"),
     ("reproduce-tables", ["--scale", "0"], "--scale must be positive"),
+    # 10,000 replications at scale 1, so at most 2**48 / 10**4 = 2.8147e10
+    ("reproduce-tables", ["--scale", "2.815e10"], "at most 2**48"),
+    ("reproduce-tables", ["--scale", "1e200"], "at most 2**48"),
+    ("reproduce-tables", ["--scale", "1e305"], "at most 2**48"),
     ("reproduce-tables", ["--tau1", "0.9"], "window must satisfy"),
 ]
 
@@ -573,7 +584,7 @@ class TestExperimentCommand:
     def test_every_length_checked_before_simulating(self, n_text, message,
                                                     monkeypatch, capsys):
         calls = []
-        for name in ("run_experiment", "critical_values", "run_experiments"):
+        for name in ("critical_values", "run_experiments"):
             monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
         with pytest.raises(SystemExit) as excinfo:
             main(

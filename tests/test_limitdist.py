@@ -61,6 +61,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="replications"):
             LimitSimSpec(0.7, replications=10)
 
+    def test_replication_ceiling(self):
+        # a Philox key keeps 48 bits of the replication index
+        assert LimitSimSpec(0.7, replications=2**48).replications == 2**48
+        with pytest.raises(ValueError, match=r"<= 2\*\*48"):
+            LimitSimSpec(0.7, replications=2**48 + 1)
+
     def test_level_bounds(self):
         with pytest.raises(ValueError, match="levels"):
             LimitSimSpec(0.7, levels=(0.05, 1.5))
@@ -152,9 +158,13 @@ class TestCriticalValues:
 
 class TestTableSerialization:
     def test_json_round_trip(self):
-        table = critical_values(LimitSimSpec(0.7, master_seed=8, **FAST))
+        # a level with more than 6 significant digits keeps its key
+        table = critical_values(LimitSimSpec(
+            0.7, master_seed=8, levels=(0.10, 0.05, 0.01, 0.123456789), **FAST
+        ))
         again = CriticalValueTable.from_json(table.to_json())
         assert again == table
+        assert again.critical_value(0.123456789) == table.quantiles[0.123456789]
 
     def test_json_schema_keys(self):
         table = critical_values(LimitSimSpec(0.7, master_seed=8, **FAST))

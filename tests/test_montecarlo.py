@@ -82,6 +82,22 @@ class TestSpecValidation:
             ExperimentSpec(kind=kind, hurst=0.7, n=100, replications=10,
                            **shift)
 
+    @pytest.mark.parametrize(
+        "kind, delta", [("size", 0.0), ("power", 1.0), ("consistency", 1.0)]
+    )
+    def test_c_only_for_local_alternative(self, kind, delta):
+        with pytest.raises(ValueError, match=f"{kind} experiments must have c = 0"):
+            ExperimentSpec(kind=kind, hurst=0.7, n=100, replications=10,
+                           delta=delta, c=3.0)
+
+    def test_replication_ceiling(self):
+        # a Philox key keeps 48 bits of the replication index
+        spec = ExperimentSpec(kind="size", hurst=0.7, n=100,
+                              replications=2**48)
+        assert spec.replications == 2**48
+        with pytest.raises(ValueError, match=r"at most 2\*\*48"):
+            dataclasses.replace(spec, replications=2**48 + 1)
+
     @pytest.mark.parametrize("seed", [-1, 1 << 63])
     def test_seed_outside_range(self, seed):
         with pytest.raises(ValueError, match="master_seed"):
@@ -450,3 +466,42 @@ class TestReproduceTables:
 
     def test_equals_per_cell_reference(self, reproduced):
         assert reproduced["2"][0] == per_cell_tables()
+
+
+class TestTableWork:
+    def test_level_rows_share_their_chunks(self, tmp_path, monkeypatch):
+        # 72 scored cells (4 limit, 20 size, 48 power) on 24 draw keys
+        # (4 limit, 20 size) of 200 replications each: splitting each
+        # power cell into one row per level scores no chunk twice
+        scored, drawn = [], []
+        kernel = limitdist.batch_tn_from_values
+        sample_fgn_block = limitdist.sample_fgn_block
+
+        def counting_kernel(series, *args, **kwargs):
+            scored.append(len(series))
+            return kernel(series, *args, **kwargs)
+
+        def counting_draw(sampler, master_seed, replications, stream):
+            drawn.append(len(replications))
+            return sample_fgn_block(sampler, master_seed, replications,
+                                    stream)
+
+        monkeypatch.setenv("LRD_CP_THREADS", "1")
+        monkeypatch.setattr(limitdist, "batch_tn_from_values", counting_kernel)
+        monkeypatch.setattr(limitdist, "sample_fgn_block", counting_draw)
+        reproduce_tables(str(tmp_path), scale=TABLES_SCALE,
+                         master_seed=TABLES_SEED)
+        assert sum(scored) == 72 * TABLES_REPS == 14_400
+        assert sum(drawn) == 24 * TABLES_REPS == 4_800
+
+    def test_replication_counts(self):
+        assert montecarlo.table_replications(0.1) == {
+            "critical_values": 1000, "size": 1000, "power": 500,
+        }
+        assert set(montecarlo.table_replications(TABLES_SCALE).values()) == {
+            TABLES_REPS
+        }
+        # above 2**48 / 10**4 the limit and size counts pass 2**48
+        for scale in (2.815e10, 1e200, 1e305, math.inf):
+            with pytest.raises(ValueError, match=r"at most 2\*\*48"):
+                montecarlo.table_replications(scale)
