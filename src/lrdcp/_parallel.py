@@ -40,9 +40,9 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def chunk_ranges(total, chunk_size=CHUNK_SIZE):
-    """[(lo, hi), ...] covering range(total) in fixed-size pieces."""
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+def chunk_ranges(total):
+    """[(lo, hi), ...] covering range(total) in pieces of CHUNK_SIZE."""
+    return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
 
 def chunked_map(func, tasks):

@@ -219,8 +219,6 @@ def cmd_experiment(parser, args):
 
 
 def cmd_reproduce_tables(parser, args):
-    if not 0.0 < args.scale < math.inf:
-        parser.error(f"--scale must be positive and finite, got {args.scale}")
     _spec(parser, table_replications, args.scale)
     window = _spec(parser, TestWindow, args.tau1, args.tau2)
     paths = reproduce_tables(

@@ -25,11 +25,8 @@ import numpy as np
 
 from . import _parallel
 
-_KEY_MASK = (1 << 64) - 1
-#: replication indices lie in [0, REPLICATION_LIMIT): a Philox key keeps
-#: 48 bits of the index, so replications r and r + 2**48 would share a draw
+#: replication indices lie in [0, 2**48): the low bits of a key's high word
 REPLICATION_LIMIT = 1 << 48
-_REP_MASK = REPLICATION_LIMIT - 1
 _MAX_DOUBLINGS = 4
 
 #: relative tolerance for clamping FFT round-off in the eigenvalues
@@ -39,6 +36,8 @@ EIG_TOL = 1e-8
 STREAM_DIRECT = 0
 STREAM_LIMIT = 1
 STREAM_EXPERIMENT = 2
+#: stream ids lie in [0, 2**15), so a key's high word stays below 2**63
+_STREAM_BOUND = 1 << 15
 
 #: master seeds lie in [0, SEED_LIMIT): NumPy converts a larger seed word
 #: of a list key through float64, so such seeds would share their draws
@@ -133,15 +132,13 @@ def build_sampler(params):
 def _philox_state(master_seed, replication, stream):
     """Fresh Philox state for the key of one (seed, replication, stream).
 
-    Counter 0 and an empty output buffer: exactly the state of a Philox
-    constructed with ``key=[seed word, key_hi]``, without the OS entropy a
-    constructor reads.  The key list is converted the way that constructor
-    converts it (``np.asarray(key).astype(np.uint64)``, which rounds a
-    seed word >= 2**63 through float64), so every seed draws the same
-    normals as a generator constructed with its key.
+    Key [master_seed, (stream << 48) | replication], counter 0, empty
+    buffer: the state of a Philox constructed with that key, without the
+    OS entropy a constructor reads.  ``sample_fgn_block`` checks both key
+    words below 2**63, so distinct triples have distinct keys.
     """
-    key_hi = ((stream & 0xFFFF) << 48) | (replication & _REP_MASK)
-    key = np.asarray([master_seed & _KEY_MASK, key_hi]).astype(np.uint64)
+    key = np.array([master_seed, (stream << 48) | replication],
+                   dtype=np.uint64)
     return {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
@@ -155,20 +152,26 @@ def _philox_state(master_seed, replication, stream):
 def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     """Draw one fGn series per replication index; shape (len, n).
 
-    ``master_seed`` must lie in [0, 2**63).  Row r is a pure function of
-    (params, master_seed, replications[r], stream), independent of how
-    the indices are grouped into blocks.  One Philox generator serves the
-    call: its state is reset to each replication's key before that row's
-    normals are drawn.  Rows go through the draw, the amplitudes and the
-    inverse FFT in blocks of about ``_parallel.BLOCK_BYTES`` of normals,
-    which reuse one normal and one amplitude buffer; the amplitudes are
-    written into that buffer's real and imaginary parts, with no complex
-    temporaries.
+    ``master_seed`` must lie in [0, 2**63), ``stream`` in [0, 2**15) and
+    each replication index in [0, 2**48); anything else is a ValueError.
+    Row r is a pure function of (params, master_seed, replications[r],
+    stream), independent of how the indices are grouped into blocks.  One
+    Philox generator serves the call: its state is reset to each
+    replication's key before that row's normals are drawn.  Rows go
+    through the draw, the amplitudes and the inverse FFT in blocks of
+    about ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and
+    one amplitude buffer; the amplitudes are written into that buffer's
+    real and imaginary parts, with no complex temporaries.
     """
     check_seed(master_seed)
+    if not 0 <= stream < _STREAM_BOUND:
+        raise ValueError(f"stream must lie in [0, 2**15), got {stream}")
+    reps = list(replications)
+    if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
+        raise ValueError(f"replication indices must lie in [0, 2**48), "
+                         f"got {min(reps)}..{max(reps)}")
     m = sampler.embedding_size
     n = sampler.params.length
-    reps = list(replications)
     weights = np.sqrt(sampler.spectral_weights)
     root_2m = np.sqrt(2.0 * m)
     scale = np.sqrt(float(m)) * weights[1:m]

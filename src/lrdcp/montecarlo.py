@@ -162,6 +162,15 @@ def simulate_statistics(spec):
     return simulate_cells([experiment_tasks(spec)])[0]
 
 
+def _median(values):
+    """``np.median`` of NaN-free values, bit for bit, without numpy.ma."""
+    half = values.size // 2
+    part = np.partition(values, (max(half - 1, 0), half))
+    if values.size % 2:
+        return part[half]
+    return (part[half - 1] + part[half]) / 2.0
+
+
 def _aggregate(spec, values, cv, seconds):
     count = int((values > cv).sum())
     return ExperimentResult(
@@ -170,7 +179,7 @@ def _aggregate(spec, values, cv, seconds):
         rejection_count=count,
         critical_value_used=cv,
         mean_statistic=float(values.mean()),
-        median_statistic=float(np.median(values)),
+        median_statistic=float(_median(values)),
         seconds=seconds,
     )
 
@@ -223,14 +232,15 @@ TABLE_COLUMNS["table3"] = TABLE_COLUMNS["table4"] = (
 def table_replications(scale):
     """Replication count of each table's cells at ``scale``, floor 200.
 
-    Raises ValueError if a count would exceed ``REPLICATION_LIMIT``.
+    The one check of ``scale``: raises ValueError unless it is positive
+    and finite and keeps every count within ``REPLICATION_LIMIT``.
     """
     full = {"critical_values": 10000, "size": 10000, "power": 5000}
+    if not scale > 0.0:
+        raise ValueError(f"--scale must be positive and finite, got {scale}")
     if not scale * max(full.values()) <= REPLICATION_LIMIT:
-        raise ValueError(
-            f"scale must keep every replication count at most 2**48, "
-            f"got {scale}"
-        )
+        raise ValueError(f"--scale must be positive and finite and keep "
+                         f"every replication count at most 2**48, got {scale}")
     return {name: max(int(round(reps * scale)), 200)
             for name, reps in full.items()}
 

@@ -68,11 +68,10 @@ def _midranks(values):
 
     One argsort per row: scattering 1..n through it ranks every row, and
     the sorted rows show which ones hold equal neighbours.  Only those
-    rows are ranked again, with the dense-cumsum midrank formula run over
-    all of them at once (positions counted across the flattened block,
-    each row opening a new group).  Midranks are integers or
-    half-integers, hence exact.  Values must be NaN-free; -0.0 and 0.0
-    tie.
+    rows are ranked again, one at a time: a run of equal values at
+    sorted positions [first, end) gets the midrank (first + end + 1) / 2.
+    Midranks are integers or half-integers, hence exact.  Values must be
+    NaN-free; -0.0 and 0.0 tie.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
@@ -84,19 +83,10 @@ def _midranks(values):
     ordered = np.take_along_axis(rows, order, axis=-1)
     distinct = ordered[:, 1:] != ordered[:, :-1]
     tied = ~distinct.all(axis=-1)
-    if tied.any():
-        starts = np.ones((np.count_nonzero(tied), n), dtype=bool)
-        starts[:, 1:] = distinct[tied]
-        flat = starts.ravel()
-        dense = np.cumsum(flat)
-        count = np.r_[np.flatnonzero(flat), flat.size]
-        offset = np.repeat(np.arange(starts.shape[0]) * n, n)
-        mid = 0.5 * (count[dense] + count[dense - 1] + 1) - offset
-        tied_ranks = np.empty(starts.shape)
-        np.put_along_axis(
-            tied_ranks, order[tied], mid.reshape(starts.shape), axis=-1
-        )
-        ranks[tied] = tied_ranks
+    for i in np.flatnonzero(tied):
+        first = np.flatnonzero(np.r_[True, distinct[i]])
+        end = np.r_[first[1:], n]
+        ranks[i, order[i]] = np.repeat((first + end + 1) / 2.0, end - first)
     return ranks.reshape(shape), tied.reshape(shape[:-1])
 
 

@@ -145,8 +145,6 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
     values = np.asarray(values, dtype=np.float64)
     batch, n = values.shape
     block = max(1, _parallel.BLOCK_BYTES // (8 * (n + 1)))
-    if batch <= block:
-        return _tn_rows(values, k_lo, k_hi, use_ranks)
     return np.concatenate(
         [
             _tn_rows(values[lo : lo + block], k_lo, k_hi, use_ranks)

@@ -167,6 +167,11 @@ class TestBlockMatchesPerReplicationReference:
         block = sample_fgn_block(sampler, seed, range(3))
         expected = reference_block(sampler, seed, range(3), fgn.STREAM_DIRECT)
         assert block.tobytes() == expected.tobytes()
+        # the top stream and replication fill the key's high word to 2**63 - 1
+        top = [(1 << 48) - 1]
+        block = sample_fgn_block(sampler, seed, top, stream=(1 << 15) - 1)
+        expected = reference_block(sampler, seed, top, (1 << 15) - 1)
+        assert block.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 1 << 63, (1 << 63) + 17])
     def test_seed_outside_range_rejected(self, seed):
@@ -177,6 +182,20 @@ class TestBlockMatchesPerReplicationReference:
             sample_fgn_block(sampler, seed, range(3))
         with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
             sample_fgn(sampler, seed)
+
+    @pytest.mark.parametrize("stream", [-1, 0x8000, 0xFFFF, 0x10000])
+    def test_stream_outside_range_rejected(self, stream):
+        # outside [0, 2**15) the key's high word would wrap or pass 2**63,
+        # where distinct (stream, replication) pairs can share a key
+        sampler = build_sampler(FgnParams(0.6, 300))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*15\)"):
+            sample_fgn_block(sampler, 5, range(3), stream=stream)
+
+    @pytest.mark.parametrize("replication", [-1, 1 << 48])
+    def test_replication_outside_range_rejected(self, replication):
+        sampler = build_sampler(FgnParams(0.6, 300))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*48\)"):
+            sample_fgn_block(sampler, 5, [0, replication])
 
 
 class TestRowBlocks:

@@ -505,3 +505,37 @@ class TestTableWork:
         for scale in (2.815e10, 1e200, 1e305, math.inf):
             with pytest.raises(ValueError, match=r"at most 2\*\*48"):
                 montecarlo.table_replications(scale)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, -math.inf, math.nan])
+    def test_scale_not_positive_rejected_before_any_work(self, scale,
+                                                         tmp_path):
+        out = tmp_path / "tables"
+        with pytest.raises(ValueError,
+                           match=r"^--scale must be positive and finite, "
+                                 rf"got {scale}$"):
+            reproduce_tables(str(out), scale=scale)
+        assert not out.exists()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        [2.0, 1.0],
+        [5.0, 1.0, 4.0, 1.0, 5.0],
+        [0.5, 2.0, 2.0, 0.5],
+        [1.0, math.inf, 0.25],
+        [math.inf, 1.0, math.inf, 0.0],
+        [math.inf, math.inf],
+        [0.1, 0.7],
+    ])
+    def test_equals_numpy_median_bit_for_bit(self, values):
+        values = np.array(values)
+        assert (montecarlo._median(values).tobytes()
+                == np.median(values).tobytes())
+
+    @pytest.mark.parametrize("size", [199, 200, 500, 501])
+    def test_equals_numpy_median_on_draws(self, size):
+        values = np.random.default_rng(size).gamma(2.0, size=size)
+        values[::7] = values[3]  # ties
+        assert (montecarlo._median(values).tobytes()
+                == np.median(values).tobytes())

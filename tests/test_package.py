@@ -30,6 +30,26 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_tables_leave_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma; the Monte Carlo aggregates do not need it
+    env = dict(os.environ, LRD_CP_THREADS="1")
+    src = str(Path(lrdcp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys; from lrdcp import reproduce_tables; "
+        f"reproduce_tables({str(tmp_path)!r}, scale=0.002); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
