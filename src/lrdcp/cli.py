@@ -18,9 +18,11 @@ draw one and record it in the output, so every run is replayable.
 """
 
 import argparse
+import functools
 import json
 import math
 import secrets
+import shutil
 import sys
 
 import numpy as np
@@ -49,22 +51,35 @@ _KIND_ALIASES = {
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
-    One bulk pass: float() over the data lines in C, one finiteness check.
-    Only a file that fails it is scanned again, line by line, for the
-    first offending line.
+    One float pass over the raw lines: float() strips the whitespace
+    around a number itself, so a plain file needs no other work.  A file
+    with a blank, comment or bad line fails that pass and takes the
+    per-line path over the same lines: strip, drop blanks and comments,
+    parse again, and only if that fails look for the first bad line.
     """
     with open(path) as handle:
-        lines = list(map(str.strip, handle))
-    data = [line for line in lines if line and line[0] != "#"]
-    if not data:
-        raise ValueError(f"no data in {path}")
-    try:
-        values = np.fromiter(map(float, data), np.float64, len(data))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        _raise_first_bad_line(path, lines)
+        lines = handle.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty tail after a final newline
+    values = _parse(lines) if lines else None
+    if values is None:
+        lines = list(map(str.strip, lines))
+        data = [line for line in lines if line and line[0] != "#"]
+        if not data:
+            raise ValueError(f"no data in {path}")
+        values = _parse(data)
+        if values is None:
+            _raise_first_bad_line(path, lines)
     return TimeSeries(values)
+
+
+def _parse(lines):
+    """The lines as float64 values, or None if one is not a finite float."""
+    try:
+        values = np.fromiter(map(float, lines), np.float64, len(lines))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _raise_first_bad_line(path, lines):
@@ -236,9 +251,14 @@ def _add_window_flags(sub):
 
 
 def build_parser():
+    # the width HelpFormatter would query on every add_argument, asked once
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="lrdcp",
         allow_abbrev=False,
+        formatter_class=formatter,
         description=(
             "Self-normalized Wilcoxon change-point test for long-range "
             "dependent time series"
@@ -252,7 +272,8 @@ def build_parser():
     parser._command_parsers = {}
 
     def register(name, **kwargs):
-        sub = commands.add_parser(name, allow_abbrev=False, **kwargs)
+        sub = commands.add_parser(name, allow_abbrev=False,
+                                  formatter_class=formatter, **kwargs)
         parser._command_parsers[name] = sub
         return sub
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import time
@@ -63,12 +64,16 @@ class TestReadSeries:
         path.write_text("1.0\n2.0\n3.0\ninf\n")
         with pytest.raises(ValueError, match="line 4"):
             read_series(path)
+        path.write_text("1.0\n2.0\nnan\n4.0\n")
+        with pytest.raises(ValueError, match="non-finite value at line 3"):
+            read_series(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "in.txt"
-        path.write_text("# only a comment\n")
-        with pytest.raises(ValueError, match="no data"):
-            read_series(path)
+        for text in ("# only a comment\n", "", "\n\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="no data"):
+                read_series(path)
 
     @staticmethod
     def _file(tmp_path, text):
@@ -132,6 +137,11 @@ class TestReadSeries:
         assert self._error(path) == f"non-finite value at line 4 of {path}: 'inf'"
         path = self._file(tmp_path, "# head\n1.0\n\nabc\nnan\n2.0\n")
         assert self._error(path) == f"parse error at line 4 of {path}: 'abc'"
+        # a blank line must not hide a two-value line
+        path = self._file(tmp_path, "1.5 2.5\n\n3.5\n4.5\n")
+        assert self._error(path) == (
+            f"parse error at line 1 of {path}: '1.5 2.5'"
+        )
 
     def test_last_line_without_newline(self, tmp_path):
         path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5")
@@ -143,8 +153,19 @@ class TestReadSeries:
         path = self._file(tmp_path, f"1.0\n2.0\n{line}\n4.0\n5.0\n")
         assert self._error(path) == f"parse error at line 3 of {path}: {line!r}"
 
+    def test_pipe_input_reports_line(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"1.0\n2.0\n3.0\nabc\n5.0\n")
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            assert self._error(path) == f"parse error at line 4 of {path}: 'abc'"
+        finally:
+            os.close(read_end)
+
     def test_parsing_scales_linearly(self, tmp_path):
-        # ten times the lines must cost well under fifteen times the time
+        # ten times the lines must cost well under fifteen times the CPU
+        # time; process time, so another process on the host does not count
         def write(path, count):
             with open(path, "w") as handle:
                 handle.writelines(f"{i % 7}.25\n" for i in range(count))
@@ -155,9 +176,9 @@ class TestReadSeries:
         write(big, 1_000_000)
 
         def clock(path, expected):
-            start = time.perf_counter()
+            start = time.process_time()
             series = read_series(path)
-            elapsed = time.perf_counter() - start
+            elapsed = time.process_time() - start
             assert series.n == expected
             return elapsed
 
@@ -838,6 +859,20 @@ class TestReproduceTables:
         with open(out_dir / "table4.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert {row["tau"] for row in rows} == {"0.25"}
+
+
+class TestParser:
+    def test_terminal_width_queried_once(self, monkeypatch):
+        calls = []
+        query = shutil.get_terminal_size
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        cli.build_parser()
+        assert len(calls) == 1
 
 
 class TestConsoleEntryPoint:

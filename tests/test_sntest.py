@@ -134,6 +134,27 @@ class TestInvariance:
         scaled = sn_cusum_statistic(TimeSeries(3.0 * x))
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", [-1000, -60, -24, 24, 60, 500, 1000])
+    def test_cusum_power_of_two_scale_keeps_every_bit(self, exponent):
+        x = np.random.default_rng(0).standard_normal(200)
+        base = sn_cusum_statistic(TimeSeries(x))
+        scaled = sn_cusum_statistic(TimeSeries(2.0**exponent * x))
+        assert scaled.statistic == base.statistic
+        assert scaled.profile.tobytes() == base.profile.tobytes()
+        assert not np.isnan(scaled.profile).any()
+        assert not scaled.degenerate_flag
+
+    @pytest.mark.parametrize("offset", [1e7, 1e12])
+    def test_cusum_offset_is_not_degenerate(self, offset):
+        # an offset far above the spread must not push the deviations
+        # under the degenerate rule's floor
+        x = np.random.default_rng(0).standard_normal(200)
+        base = sn_cusum_statistic(TimeSeries(x))
+        shifted = sn_cusum_statistic(TimeSeries(x + offset), critical_value=8.4)
+        assert not shifted.degenerate_flag
+        assert shifted.reject is False
+        assert shifted.statistic == pytest.approx(base.statistic, rel=0.01)
+
 
 class TestDegenerateCases:
     def test_constant_series_scores_zero(self):
@@ -141,6 +162,12 @@ class TestDegenerateCases:
         assert result.statistic == 0.0
         assert result.degenerate_flag
         assert result.tie_flag
+
+    @pytest.mark.parametrize("level", [1.0, 7.0, 1e10, 3.3e-200])
+    def test_constant_series_is_degenerate_for_cusum(self, level):
+        result = sn_cusum_statistic(TimeSeries(np.full(50, level)))
+        assert result.statistic == 0.0
+        assert result.degenerate_flag
 
     def test_isolated_level_shift_gives_infinite_statistic(self):
         # nine tied observations after a lone high start: the deviation
