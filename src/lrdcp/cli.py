@@ -51,17 +51,18 @@ _KIND_ALIASES = {
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
-    One float pass over the raw lines: float() strips the whitespace
-    around a number itself, so a plain file needs no other work.  A file
-    with a blank, comment or bad line fails that pass and takes the
-    per-line path over the same lines: strip, drop blanks and comments,
-    parse again, and only if that fails look for the first bad line.
+    A plain file, with no '#' and no empty line, takes one float pass over
+    its raw lines: float() strips the whitespace around a number itself,
+    so it needs no other work.  Any other file, and a plain one that fails
+    that pass, takes the per-line path: strip, drop blanks and comments,
+    parse, and only if that fails look for the first bad line.
     """
     with open(path) as handle:
-        lines = handle.read().split("\n")
-    if not lines[-1]:
-        lines.pop()  # the empty tail after a final newline
-    values = _parse(lines) if lines else None
+        text = handle.read()
+    lines = text.removesuffix("\n").split("\n")
+    plain = "#" not in text and all(lines)  # no comment, no empty line
+    del text
+    values = _parse(lines) if plain else None
     if values is None:
         lines = list(map(str.strip, lines))
         data = [line for line in lines if line and line[0] != "#"]

@@ -123,28 +123,27 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     return gn, flags
 
 
-def _unit_scaled(rows):
-    """Each raw row times 2**-e, e the frexp exponent of its half range.
+def _unit_scaled(values):
+    """The series times 2**-e, e the frexp exponent of its half range.
 
-    The variation of every row then spans [1, 2), so the degenerate rule
-    and the squares in ``_gn_matrix`` see the same magnitudes at any scale
-    of the data; a constant row is scaled by its peak |value| instead.
-    A power of two scales exactly and G_n is homogeneous of degree 0, so
+    Its variation then spans [1, 2), so the degenerate rule and the
+    squares in ``_gn_matrix`` see the same magnitudes at any scale of the
+    data; a constant series is scaled by its peak |value| instead.  A
+    power of two scales exactly and G_n is homogeneous of degree 0, so
     every non-degenerate value keeps its bits.  The range, not the peak,
     sets the scale so that an offset (x + 1e7) does not shrink the
     deviations below the degenerate rule's floor.
     """
-    hi = rows.max(axis=-1, keepdims=True)
-    lo = rows.min(axis=-1, keepdims=True)
+    hi, lo = float(values.max()), float(values.min())
     half_range = hi * 0.5 - lo * 0.5  # cannot overflow
-    peak = np.maximum(hi, -lo)
-    _, exponent = np.frexp(np.where(half_range > 0.0, half_range, peak))
-    return np.ldexp(rows, -exponent)
+    _, exponent = math.frexp(half_range if half_range > 0.0 else max(hi, -lo))
+    return np.ldexp(values, -exponent)
 
 
 def _tn_rows(values, k_lo, k_hi, use_ranks):
     """T_n of each row of one (rows, n) block of a batch."""
-    values = rankdata(values) if use_ranks else _unit_scaled(values)
+    if use_ranks:
+        values = rankdata(values)
     d, num_scale = deviation_rows(values, use_ranks)
     gn, _ = _gn_matrix(d, values.shape[1], k_lo, k_hi, num_scale)
     return gn.max(axis=-1)
@@ -209,7 +208,7 @@ def sn_cusum_statistic(series, window=TestWindow(), critical_value=None):
     unit range first, so it and any power-of-two multiple of it give the
     same bits.
     """
-    d, num_scale = deviation_rows(_unit_scaled(series.values[np.newaxis]),
+    d, num_scale = deviation_rows(_unit_scaled(series.values)[np.newaxis],
                                   ranked=False)
     return _result_from_deviations(d, window, False, critical_value, num_scale)
 

@@ -143,6 +143,23 @@ class TestReadSeries:
             f"parse error at line 1 of {path}: '1.5 2.5'"
         )
 
+    @pytest.mark.parametrize("tail", ["", "\n", "# end\n", "\n# end\n"])
+    def test_one_parse_pass_whatever_the_tail(self, tail, monkeypatch,
+                                              tmp_path):
+        # a trailing blank or comment line sends the file to the per-line
+        # path at once, not after a float pass over every line before it
+        calls = []
+        parse = cli._parse
+
+        def counting(lines):
+            calls.append(len(lines))
+            return parse(lines)
+
+        monkeypatch.setattr(cli, "_parse", counting)
+        path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5\n" + tail)
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+        assert calls == [4]
+
     def test_last_line_without_newline(self, tmp_path):
         path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5")
         assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
