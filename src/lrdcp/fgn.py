@@ -156,12 +156,13 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     each replication index in [0, 2**48); anything else is a ValueError.
     Row r is a pure function of (params, master_seed, replications[r],
     stream), independent of how the indices are grouped into blocks.  One
-    Philox generator serves the call: its state is reset to each
-    replication's key before that row's normals are drawn.  Rows go
-    through the draw, the amplitudes and the inverse FFT in blocks of
-    about ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and
-    one amplitude buffer; the amplitudes are written into that buffer's
-    real and imaginary parts, with no complex temporaries.
+    Philox generator and one state dict serve the call: before a row's
+    normals are drawn, the dict's key is set to that replication's and
+    the generator is reset to the dict.  Rows go through the draw, the
+    amplitudes and the inverse FFT in blocks of about
+    ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and one
+    amplitude buffer; the amplitudes are written into that buffer's real
+    and imaginary parts, with no complex temporaries.
     """
     check_seed(master_seed)
     if not 0 <= stream < _STREAM_BOUND:
@@ -177,6 +178,8 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     scale = np.sqrt(float(m)) * weights[1:m]
     bit_generator = np.random.Philox()
     generator = np.random.Generator(bit_generator)
+    state = _philox_state(master_seed, 0, stream)
+    key = state["state"]["key"]
     block = max(1, min(len(reps), _parallel.BLOCK_BYTES // (16 * m)))
     w = np.empty((block, 2 * m))
     # spectral amplitudes: one complex row per replication
@@ -186,7 +189,8 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
         block_reps = reps[lo : lo + block]
         wb, ab = w[: len(block_reps)], amps[: len(block_reps)]
         for i, rep in enumerate(block_reps):
-            bit_generator.state = _philox_state(master_seed, rep, stream)
+            key[1] = (stream << 48) | rep
+            bit_generator.state = state
             generator.standard_normal(out=wb[i])
         ab[:, 0] = root_2m * weights[0] * wb[:, 0]
         ab[:, m] = root_2m * weights[m] * wb[:, 1]

@@ -181,8 +181,8 @@ class SimChunk:
     The series gets ``shift`` added from ``change_index`` on, and is
     scored by the rank kernel (``use_ranks``) or the value kernel.  The
     limit law is the unranked, unshifted case on ``STREAM_LIMIT``.  The
-    task with ``shift`` and ``change_index`` cleared is its draw key: the
-    fGn block depends on nothing else.
+    task with ``hi``, ``shift`` and ``change_index`` cleared is its draw
+    key: row r of the fGn block depends on nothing else.
     """
 
     hurst: float
@@ -208,24 +208,26 @@ def chunk_tasks(replications, **fields):
 def simulate_chunk(tasks):
     """Statistic values of each chunk task of one draw key, in task order.
 
-    The tasks differ at most in ``shift`` and ``change_index``, so one
-    block of fGn serves them all.  A shifted task scores a shifted copy
-    of the block, except the last task, which shifts the block itself.
-    Every value is a pure function of its task.
+    The tasks share ``lo`` and differ at most in ``hi``, ``shift`` and
+    ``change_index``, so one block of fGn, replications [lo, max hi),
+    serves them all: each task scores the block's leading ``hi - lo``
+    rows.  A shifted task scores a shifted copy of them, except the last
+    task, which shifts the block itself.  Every value is a pure function
+    of its task.
     """
     first = tasks[0]
     sampler = build_sampler(FgnParams(first.hurst, first.n))
     block = sample_fgn_block(
-        sampler, first.master_seed, range(first.lo, first.hi),
-        stream=first.stream,
+        sampler, first.master_seed,
+        range(first.lo, max(task.hi for task in tasks)), stream=first.stream,
     )
     k_lo, k_hi = first.window.split_range(first.n)
     values = []
     for i, task in enumerate(tasks):
-        series = block
+        series = block[: task.hi - task.lo]
         if task.shift != 0.0:
             if i < len(tasks) - 1:
-                series = block.copy()
+                series = series.copy()
             series[:, task.change_index:] += task.shift
         values.append(
             batch_tn_from_values(series, k_lo, k_hi, use_ranks=task.use_ranks)
@@ -236,15 +238,17 @@ def simulate_chunk(tasks):
 def simulate_cells(cells):
     """Values of each cell (a list of chunk tasks), from one chunked map.
 
-    Tasks that differ only in ``shift`` and ``change_index`` share a draw
-    key; the map runs once per key, in the order the keys are first asked
-    for, so a process pool starts at most once and each distinct chunk of
-    fGn is drawn once.  Each cell's values come back in replication order.
+    Tasks that differ only in ``hi``, ``shift`` and ``change_index``
+    share a draw key, so a short trailing chunk reads the rows of a
+    longer one; the map runs once per key, in the order the keys are
+    first asked for, so a process pool starts at most once and each
+    replication of each fGn series is drawn once.  Each cell's values
+    come back in replication order.
     """
     keys = {}
     for cell in cells:
         for task in cell:
-            key = replace(task, shift=0.0, change_index=0)
+            key = replace(task, hi=task.lo, shift=0.0, change_index=0)
             keys.setdefault(key, {})[task] = None
     groups = [tuple(tasks) for tasks in keys.values()]
     values = {}

@@ -11,6 +11,11 @@ whose absolute value equals the two-sample Wilcoxon double sum
 ranks or of raw values; ``sntest._gn_matrix``, the one G_n
 implementation, reads everything else from d.  The direct oracle it is
 checked against counts its own midranks and lives in ``tests/_oracle.py``.
+
+Midranks come from one sort per row of packed int64 keys, each a value's
+order-preserving bits with its column index in the low bits, so the
+sorted keys carry the permutation and no argsort is needed.  Only a row
+whose keys show a tie or a near-tie is ranked again by the exact rule.
 """
 
 import math
@@ -66,27 +71,45 @@ class RankProfile:
 def _midranks(values):
     """Midranks along the last axis, and a per-row flag for tied values.
 
-    One argsort per row: scattering 1..n through it ranks every row, and
-    the sorted rows show which ones hold equal neighbours.  Only those
-    rows are ranked again, one at a time: a run of equal values at
+    One int64 sort per row, no argsort.  Each value becomes an int64 key
+    whose signed order is the float order (the bits of x + 0.0, so that
+    -0.0 and 0.0 tie, with the low 63 bits flipped for negative x).  Its
+    low b = bit_length(n - 1) bits are replaced by the column index, and
+    the keys are sorted in place.  A row whose sorted keys all differ in
+    their high bits holds distinct values in key order, so its ranks are
+    1..n scattered through the sorted column indices.  A row where two
+    keys share their high bits may hold ties or near-ties; it alone is
+    ranked by the exact rule: one argsort, and a run of equal values at
     sorted positions [first, end) gets the midrank (first + end + 1) / 2.
     Midranks are integers or half-integers, hence exact.  Values must be
-    NaN-free; -0.0 and 0.0 tie.
+    NaN-free.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
     n = shape[-1]
     rows = values.reshape(math.prod(shape[:-1]), n)
-    order = np.argsort(rows, axis=-1)
+    bits = max(1, (n - 1).bit_length())
+    low = (1 << bits) - 1
+    keys = (rows + 0.0).view(np.int64)
+    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    keys &= ~low
+    keys |= np.arange(n)
+    keys.sort(axis=-1)
+    high = keys >> bits
+    near = (high[:, 1:] == high[:, :-1]).any(axis=-1)
+    keys &= low
+    keys += n * np.arange(len(rows))[:, np.newaxis]
     ranks = np.empty(rows.shape)
-    np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0), axis=-1)
-    ordered = np.take_along_axis(rows, order, axis=-1)
-    distinct = ordered[:, 1:] != ordered[:, :-1]
-    tied = ~distinct.all(axis=-1)
-    for i in np.flatnonzero(tied):
-        first = np.flatnonzero(np.r_[True, distinct[i]])
+    np.put(ranks, keys, np.arange(1.0, n + 1.0))
+    tied = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(near):
+        order = np.argsort(rows[i])
+        ordered = rows[i, order]
+        distinct = ordered[1:] != ordered[:-1]
+        first = np.flatnonzero(np.r_[True, distinct])
         end = np.r_[first[1:], n]
-        ranks[i, order[i]] = np.repeat((first + end + 1) / 2.0, end - first)
+        ranks[i, order] = np.repeat((first + end + 1) / 2.0, end - first)
+        tied[i] = len(first) < n
     return ranks.reshape(shape), tied.reshape(shape[:-1])
 
 

@@ -89,32 +89,56 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     """
     t = np.arange(n + 1, dtype=np.float64)
     window = slice(k_lo, k_hi + 1)
-    prefix_q = np.cumsum(d * d, axis=-1)
-    # read only up to k_hi
-    prefix_td = np.cumsum(t[: k_hi + 1] * d[:, : k_hi + 1], axis=-1)
-    cum_md = np.cumsum((n - t) * d, axis=-1)
-    # suffix sums, over the window only: sum_{t>k} = total - sum_{t<=k}
-    suffix_q = prefix_q[:, -1:] - prefix_q[:, window]
-    suffix_md = cum_md[:, -1:] - cum_md[:, window]
-
     kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
     mf = n - kf
-    dk = d[:, window]
-    dk_k = dk / kf
-    dk_m = dk / mf
     # sum_{t<=k} t^2 and sum_{t>k} (n-t)^2 in closed form
     sum_tsq = kf * (kf + 1.0) * (2.0 * kf + 1.0) / 6.0
     sum_msq = (mf - 1.0) * mf * (2.0 * mf - 1.0) / 6.0
-    first = prefix_q[:, window] - 2.0 * dk_k * prefix_td[:, window]
-    first += dk_k**2 * sum_tsq
-    second = suffix_q - 2.0 * dk_m * suffix_md
-    second += dk_m**2 * sum_msq
-    denom = first + second
+    dk = d[:, window]
+    # with m = n - k, the two halves of the normalizer expand to
+    #   first  = sum_{t<=k} d^2 - 2 (d_k/k) sum_{t<=k} t d + (d_k/k)^2 sum t^2
+    #   second = sum_{t>k} d^2 - 2 (d_k/m) sum_{t>k} (n-t) d + (d_k/m)^2 sum (n-t)^2
+    # evaluated left to right into reused buffers: each element sees the
+    # same operations in the same order whatever buffer holds it
+    run = np.empty_like(d)  # running sums of one profile moment at a time
+    head = run[:, : k_hi + 1]  # sum_{t<=k} t d is read only up to k_hi
+    np.multiply(t[: k_hi + 1], d[:, : k_hi + 1], out=head)
+    np.cumsum(head, axis=-1, out=head)
+    scaled = np.divide(dk, kf)
+    first = np.multiply(2.0, scaled)
+    first *= run[:, window]
+    np.multiply(d, d, out=run)
+    np.cumsum(run, axis=-1, out=run)
+    np.subtract(run[:, window], first, out=first)
+    # suffix sums: sum_{t>k} = total - sum_{t<=k}; k_hi < n, so the
+    # window never overlaps the total's column
+    second = np.subtract(run[:, -1:], run[:, window])
+    term = np.square(scaled)
+    term *= sum_tsq
+    first += term
+    np.divide(dk, mf, out=scaled)
+    np.multiply(n - t, d, out=run)
+    np.cumsum(run, axis=-1, out=run)
+    suffix_md = run[:, window]
+    np.subtract(run[:, -1:], suffix_md, out=suffix_md)
+    np.multiply(2.0, scaled, out=term)
+    term *= suffix_md
+    second -= term
+    np.square(scaled, out=term)
+    term *= sum_msq
+    second += term
+    denom = first
+    denom += second
 
-    abs_dk = np.abs(dk)
+    abs_dk = np.abs(dk, out=scaled)
+    np.divide(denom, n, out=second)
+    np.sqrt(second, out=second)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gn = abs_dk / np.sqrt(denom / n)
-    degenerate = denom < DEN_TOL * n * (1.0 + dk * dk)
+        gn = np.divide(abs_dk, second, out=second)
+    np.multiply(dk, dk, out=term)
+    term += 1.0
+    term *= DEN_TOL * n
+    degenerate = denom < term
     flags = degenerate.any(axis=-1)
     # rank profiles of continuous data never reach the degenerate rule
     if flags.any():

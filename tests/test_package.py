@@ -30,6 +30,22 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # the pool loads numpy.random just before forking; importing must not
+    env = dict(os.environ)
+    src = str(Path(lrdcp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, lrdcp, lrdcp.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_tables_leave_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma; the Monte Carlo aggregates do not need it
     env = dict(os.environ, LRD_CP_THREADS="1")

@@ -1,9 +1,13 @@
 """Tests for the worker count and the chunked map."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrdcp
 from lrdcp import _parallel
 
 
@@ -44,3 +48,25 @@ class TestChunkedMap:
         monkeypatch.setenv("LRD_CP_THREADS", "2")
         tasks = list(range(7))
         assert _parallel.chunked_map(_square, tasks) == [t * t for t in tasks]
+
+    def test_workers_inherit_the_draw_modules(self):
+        # a fresh parent that has imported only lrdcp; each probe reports
+        # what its worker holds before it runs any code of its own
+        env = dict(os.environ, LRD_CP_THREADS="2")
+        src = str(Path(lrdcp.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys\n"
+            "from lrdcp import _parallel\n"
+            "def probe(task):\n"
+            "    return 'numpy.random' in sys.modules\n"
+            "print(all(_parallel.chunked_map(probe, [0, 1])))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
