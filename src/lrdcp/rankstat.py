@@ -95,12 +95,18 @@ def _midranks(values):
     keys &= ~low
     keys |= np.arange(n)
     keys.sort(axis=-1)
-    high = keys >> bits
-    near = (high[:, 1:] == high[:, :-1]).any(axis=-1)
-    keys &= low
-    keys += n * np.arange(len(rows))[:, np.newaxis]
+    # one pass over the flat block: neighbours that straddle two rows
+    # (each row's last column) are not compared
+    flat = keys.reshape(-1)
+    high = flat >> bits
+    same = np.empty(flat.shape, dtype=bool)
+    np.equal(high[1:], high[:-1], out=same[:-1])
+    same.reshape(rows.shape)[:, n - 1 :] = False
+    near = same.reshape(rows.shape).any(axis=-1)
+    flat &= low
+    flat += np.repeat(n * np.arange(len(rows)), n)
     ranks = np.empty(rows.shape)
-    np.put(ranks, keys, np.arange(1.0, n + 1.0))
+    ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
     tied = np.zeros(len(rows), dtype=bool)
     for i in np.flatnonzero(near):
         order = np.argsort(rows[i])
