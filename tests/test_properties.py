@@ -19,8 +19,8 @@ from lrdcp.sntest import batch_tn_from_values
 PROPERTY = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
 
-# values whose float keys collide in all but their lowest bits: signed
-# zeros, subnormals, the largest magnitudes and the infinities
+# values at the middle and the ends of the int64 key order: subnormals
+# next to zero, the largest finite magnitudes and the infinities
 SPECIAL = st.sampled_from([
     5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
     1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
