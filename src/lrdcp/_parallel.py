@@ -50,10 +50,6 @@ def chunked_map(func, tasks):
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
         return [func(task) for task in tasks]
-    # forked workers inherit the draw's modules instead of each importing
-    # them; imported here, not at module level, to keep `import lrdcp` lean
-    import numpy.fft  # noqa: F401
-    import numpy.random  # noqa: F401
     with Pool(workers) as pool:
         # one chunk per dispatch, so workers finish within a chunk of each other
         return pool.map(func, tasks, chunksize=1)

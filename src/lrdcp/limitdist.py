@@ -251,6 +251,10 @@ def simulate_cells(cells):
             key = replace(task, hi=task.lo, shift=0.0, change_index=0)
             keys.setdefault(key, {})[task] = None
     groups = [tuple(tasks) for tasks in keys.values()]
+    # forked workers inherit the draw's modules instead of each importing
+    # them; imported here, not at module level, to keep `import lrdcp` lean
+    import numpy.fft  # noqa: F401
+    import numpy.random  # noqa: F401
     values = {}
     for group, group_values in zip(
         groups, _parallel.chunked_map(simulate_chunk, groups)

@@ -14,8 +14,9 @@ checked against counts its own midranks and lives in ``tests/_oracle.py``.
 
 Midranks come from one sort per row of packed int64 keys, each a value's
 order-preserving bits with its column index in the low bits, so the
-sorted keys carry the permutation and no argsort is needed.  Only a row
-whose keys show a tie or a near-tie is ranked again by the exact rule.
+sorted keys carry the permutation and no argsort is needed.  A block
+whose keys show a tie or a near-tie is ranked by the exact rule from that
+key order, which for tied values is already their sorted order.
 """
 
 import math
@@ -71,18 +72,23 @@ class RankProfile:
 def _midranks(values):
     """Midranks along the last axis, and a per-row flag for tied values.
 
-    One int64 sort per row, no argsort.  Each value becomes an int64 key
+    One int64 sort per row, and no argsort unless a row holds ties or
+    near-ties.  Each value becomes an int64 key
     whose signed order is the float order (the bits of x + 0.0, so that
     -0.0 and 0.0 tie, with the low 63 bits flipped for negative x).  Its
     low b = bit_length(n - 1) bits are replaced by the column index, and
-    the keys are sorted in place.  A row whose sorted keys all differ in
-    their high bits holds distinct values in key order, so its ranks are
-    1..n scattered through the sorted column indices.  A row where two
-    keys share their high bits may hold ties or near-ties; it alone is
-    ranked by the exact rule: one argsort, and a run of equal values at
-    sorted positions [first, end) gets the midrank (first + end + 1) / 2.
-    Midranks are integers or half-integers, hence exact.  Values must be
-    NaN-free.
+    the keys are sorted in place.  If all sorted keys of a row differ in
+    their high bits, its values are distinct and in key order, so its
+    ranks are 1..n scattered through the sorted column indices.
+
+    A block where two keys of a row share their high bits (a tie or a
+    near-tie) is ranked by the exact rule, reusing the key order: the
+    values in key order are sorted already except inside runs of
+    near-ties, so one adaptive stable argsort of them costs about a pass
+    (a row of many distinct near-ties in scrambled order is the slow
+    case).  A run of equal values at sorted positions [first, end) then
+    gets the midrank (first + end + 1) / 2.  Midranks are integers or
+    half-integers, hence exact.  Values must be NaN-free.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
@@ -102,20 +108,29 @@ def _midranks(values):
     same = np.empty(flat.shape, dtype=bool)
     np.equal(high[1:], high[:-1], out=same[:-1])
     same.reshape(rows.shape)[:, n - 1 :] = False
-    near = same.reshape(rows.shape).any(axis=-1)
+    offsets = n * np.arange(len(rows))
     flat &= low
-    flat += np.repeat(n * np.arange(len(rows)), n)
+    flat += np.repeat(offsets, n)
     ranks = np.empty(rows.shape)
-    ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
-    tied = np.zeros(len(rows), dtype=bool)
-    for i in np.flatnonzero(near):
-        order = np.argsort(rows[i])
-        ordered = rows[i, order]
-        distinct = ordered[1:] != ordered[:-1]
-        first = np.flatnonzero(np.r_[True, distinct])
-        end = np.r_[first[1:], n]
-        ranks[i, order] = np.repeat((first + end + 1) / 2.0, end - first)
-        tied[i] = len(first) < n
+    if not same.any():
+        ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
+        return ranks.reshape(shape), np.zeros(shape[:-1], dtype=bool)
+    ordered = rows.reshape(-1)[flat].reshape(rows.shape)
+    fix = np.argsort(ordered, axis=-1, kind="stable")
+    fix += offsets[:, np.newaxis]
+    fix = fix.reshape(-1)
+    flat = flat[fix]
+    ordered = ordered.reshape(-1)[fix]
+    edge = np.empty(flat.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:])
+    edge[::n] = True
+    first = np.flatnonzero(edge)
+    end = np.r_[first[1:], len(flat)]
+    row_start = first - first % n
+    ranks.reshape(-1)[flat] = np.repeat(
+        (first + end + 1 - 2 * row_start) / 2.0, end - first
+    )
+    tied = np.bincount(first // n, minlength=len(rows)) < n
     return ranks.reshape(shape), tied.reshape(shape[:-1])
 
 

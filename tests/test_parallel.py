@@ -50,8 +50,9 @@ class TestChunkedMap:
         assert _parallel.chunked_map(_square, tasks) == [t * t for t in tasks]
 
     def test_workers_inherit_the_draw_modules(self):
-        # a fresh parent that has imported only lrdcp; each probe reports
-        # what its worker holds before it runs any code of its own
+        # a fresh parent that has imported only lrdcp; each probe, run in
+        # place of the chunk kernel, reports what its worker holds before
+        # it runs any code of its own
         env = dict(os.environ, LRD_CP_THREADS="2")
         src = str(Path(lrdcp.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -59,10 +60,14 @@ class TestChunkedMap:
         )
         code = (
             "import sys\n"
-            "from lrdcp import _parallel\n"
-            "def probe(task):\n"
-            "    return 'numpy.random' in sys.modules\n"
-            "print(all(_parallel.chunked_map(probe, [0, 1])))\n"
+            "from lrdcp import limitdist\n"
+            "from lrdcp.sntest import TestWindow\n"
+            "def probe(tasks):\n"
+            "    return [['numpy.random' in sys.modules]] * len(tasks)\n"
+            "limitdist.simulate_chunk = probe\n"
+            "tasks = limitdist.chunk_tasks(\n"
+            "    1000, hurst=0.7, n=50, window=TestWindow(), master_seed=0)\n"
+            "print(all(limitdist.simulate_cells([tasks])[0]))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
