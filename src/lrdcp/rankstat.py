@@ -82,13 +82,14 @@ def _midranks(values):
     ranks are 1..n scattered through the sorted column indices.
 
     A block where two keys of a row share their high bits (a tie or a
-    near-tie) is ranked by the exact rule, reusing the key order: the
-    values in key order are sorted already except inside runs of
-    near-ties, so one adaptive stable argsort of them costs about a pass
-    (a row of many distinct near-ties in scrambled order is the slow
-    case).  A run of equal values at sorted positions [first, end) then
-    gets the midrank (first + end + 1) / 2.  Midranks are integers or
-    half-integers, hence exact.  Values must be NaN-free.
+    near-tie) is ranked by the exact rule, reusing the key order.  Tied
+    values already sit in sorted order there; only distinct near-ties
+    can be out of order, and then one adaptive stable argsort of the
+    nearly sorted values puts them in order (a row of many distinct
+    near-ties in scrambled order is the slow case).  A run of c equal
+    values from sorted position p on then gets the midrank
+    p + (c + 1) / 2.  Midranks are integers or half-integers, hence
+    exact.  Values must be NaN-free.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
@@ -115,22 +116,20 @@ def _midranks(values):
     if not same.any():
         ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
         return ranks.reshape(shape), np.zeros(shape[:-1], dtype=bool)
-    ordered = rows.reshape(-1)[flat].reshape(rows.shape)
-    fix = np.argsort(ordered, axis=-1, kind="stable")
-    fix += offsets[:, np.newaxis]
-    fix = fix.reshape(-1)
-    flat = flat[fix]
-    ordered = ordered.reshape(-1)[fix]
+    ordered = rows.reshape(-1)[flat]
+    if (same[:-1] & (ordered[1:] < ordered[:-1])).any():
+        fix = np.argsort(ordered.reshape(rows.shape), axis=-1, kind="stable")
+        fix += offsets[:, np.newaxis]
+        fix = fix.reshape(-1)
+        flat = flat[fix]
+        ordered = ordered[fix]
     edge = np.empty(flat.shape, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=edge[1:])
     edge[::n] = True
     first = np.flatnonzero(edge)
-    end = np.r_[first[1:], len(flat)]
-    row_start = first - first % n
-    ranks.reshape(-1)[flat] = np.repeat(
-        (first + end + 1 - 2 * row_start) / 2.0, end - first
-    )
-    tied = np.bincount(first // n, minlength=len(rows)) < n
+    counts = np.diff(first, append=len(flat))
+    ranks.reshape(-1)[flat] = np.repeat(first % n + (counts + 1) / 2.0, counts)
+    tied = ~edge.reshape(rows.shape).all(axis=-1)
     return ranks.reshape(shape), tied.reshape(shape[:-1])
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from lrdcp import RankProfile, TimeSeries, build_profile
-from lrdcp.rankstat import deviation_rows, rankdata
+from lrdcp.rankstat import _midranks, deviation_rows, rankdata
 
 
 def brute_two_sample_sums(values):
@@ -113,6 +113,19 @@ class TestRankdata:
         assert_same_bits(
             rankdata(rows), stats.rankdata(rows, method="average", axis=-1)
         )
+
+    @pytest.mark.parametrize("n", [5, 1000, 20_000])
+    def test_scrambled_near_ties_match_scipy(self, n):
+        # distinct values a few ulps apart share their keys' high bits, so
+        # the key order leaves them unsorted; a tie-free row rides along
+        rng = np.random.default_rng(n + 2)
+        near = 1.0 + np.arange(n) * 2.0**-52
+        near[-1] = near[0]
+        rows = np.stack([rng.permutation(near), rng.normal(size=n)])
+        assert_same_bits(
+            rankdata(rows), stats.rankdata(rows, method="average", axis=-1)
+        )
+        assert _midranks(rows)[1].tolist() == [True, False]
 
     def test_tie_flag_matches_distinct_count(self):
         rng = np.random.default_rng(21)
