@@ -72,12 +72,11 @@ class RankProfile:
 def _midranks(values):
     """Midranks along the last axis, and a per-row flag for tied values.
 
-    One int64 sort per row, and no argsort unless a row holds ties or
-    near-ties.  Each value becomes an int64 key
-    whose signed order is the float order (the bits of x + 0.0, so that
-    -0.0 and 0.0 tie, with the low 63 bits flipped for negative x).  Its
-    low b = bit_length(n - 1) bits are replaced by the column index, and
-    the keys are sorted in place.  If all sorted keys of a row differ in
+    One int64 sort per row.  Each value becomes an int64 key whose signed
+    order is the float order (the bits of x + 0.0, so that -0.0 and 0.0
+    tie, with the low 63 bits flipped for negative x).  Its low
+    b = bit_length(n - 1) bits are replaced by the column index, and the
+    keys are sorted in place.  If all sorted keys of a row differ in
     their high bits, its values are distinct and in key order, so its
     ranks are 1..n scattered through the sorted column indices.
 
@@ -87,7 +86,7 @@ def _midranks(values):
     can be out of order, and then one adaptive stable argsort of the
     nearly sorted values puts them in order (a row of many distinct
     near-ties in scrambled order is the slow case).  A run of c equal
-    values from sorted position p on then gets the midrank
+    values from 0-based sorted position p on then gets the midrank
     p + (c + 1) / 2.  Midranks are integers or half-integers, hence
     exact.  Values must be NaN-free.
     """
