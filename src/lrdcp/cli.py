@@ -11,8 +11,8 @@ given.  Exit codes: 0 success, 1 runtime error, 2 usage error, which
 includes any value a spec (TestWindow, LimitSimSpec, ExperimentSpec,
 FgnParams) rejects.  A JSON config file (--config) may supply any
 optional flag by its underscored name, its value parsed as that flag's
-command-line text; explicit flags win and a null value leaves the flag
-at its default.
+command-line text; explicit flags win, a null value leaves the flag at
+its default, and every other value is checked even when its flag is typed.
 Randomized subcommands either take --seed (an integer in [0, 2**63)) or
 draw one and record it in the output, so every run is replayable.
 """
@@ -343,6 +343,11 @@ def build_parser():
 
 
 def _apply_config(parser, args, argv):
+    """Re-parse ``argv`` with the --config values as subcommand defaults.
+
+    Every non-null value for an option of the subcommand is parsed as its
+    flag's command-line text; argparse then keeps a typed flag over it.
+    """
     if not args.config:
         return args
     with open(args.config) as handle:
@@ -352,25 +357,17 @@ def _apply_config(parser, args, argv):
             raise ValueError(f"bad config {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"bad config {args.config}: expected a JSON object")
-    explicit = {
-        token.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
-    actions = {
-        action.dest: action
-        for action in parser._command_parsers[args.command]._actions
-    }
+    sub = parser._command_parsers[args.command]
+    actions = {action.dest: action for action in sub._actions
+               if action.default is not argparse.SUPPRESS}
+    defaults = {}
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        action = actions.get(attr)
-        if (value is None or attr in explicit or action is None
-                or not hasattr(args, attr)):
-            continue
-        if getattr(args, attr) == action.default:
-            setattr(args, attr, _config_value(parser, args.config, key, value,
-                                              action))
-    return args
+        action = actions.get(key.replace("-", "_"))
+        if value is not None and action is not None:
+            defaults[action.dest] = _config_value(parser, args.config, key,
+                                                  value, action)
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _config_value(parser, path, key, value, action):
@@ -388,8 +385,6 @@ def _config_value(parser, path, key, value, action):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

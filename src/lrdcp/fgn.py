@@ -27,7 +27,6 @@ from . import _parallel
 
 #: replication indices lie in [0, 2**48): the low bits of a key's high word
 REPLICATION_LIMIT = 1 << 48
-_MAX_DOUBLINGS = 4
 
 #: relative tolerance for clamping FFT round-off in the eigenvalues
 EIG_TOL = 1e-8
@@ -108,25 +107,20 @@ class FgnSampler:
 def build_sampler(params):
     """Precompute the spectral weights of the circulant embedding.
 
-    The fGn embedding is provably nonnegative definite, so the doubling
-    retry below is a numerical safety valve only; after four doublings a
-    negative eigenvalue beyond FFT round-off is treated as a hard error.
+    M is the smallest power of two >= length.  The fGn embedding is
+    nonnegative definite, so an eigenvalue below -EIG_TOL times the
+    largest, beyond FFT round-off, raises RuntimeError.
     """
-    m = 1
-    while m < params.length:
-        m <<= 1
-    for _ in range(_MAX_DOUBLINGS + 1):
-        gam = fgn_autocovariance(params.hurst, np.arange(m + 1))
-        circ = np.concatenate([gam, gam[m - 1 : 0 : -1]])
-        lam = np.fft.fft(circ).real
-        tol = EIG_TOL * lam.max()
-        if lam.min() >= -tol:
-            return FgnSampler(params, np.clip(lam, 0.0, None))
-        m <<= 1
-    raise RuntimeError(
-        f"circulant embedding failed for hurst={params.hurst}, "
-        f"length={params.length}: negative eigenvalue persisted"
-    )
+    m = 1 << (params.length - 1).bit_length()
+    gam = fgn_autocovariance(params.hurst, np.arange(m + 1))
+    circ = np.concatenate([gam, gam[m - 1 : 0 : -1]])
+    lam = np.fft.fft(circ).real
+    if lam.min() < -EIG_TOL * lam.max():
+        raise RuntimeError(
+            f"circulant embedding is indefinite for hurst={params.hurst}, "
+            f"length={params.length}: smallest eigenvalue {lam.min():.3g}"
+        )
+    return FgnSampler(params, np.clip(lam, 0.0, None))
 
 
 def _philox_state(master_seed, replication, stream):

@@ -842,6 +842,60 @@ class TestConfigConversion:
         assert "format" in capsys.readouterr().err.splitlines()[-1]
 
 
+class TestListArguments:
+    def test_bad_levels_entry_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["critical-values", "--hurst", "0.7", "--levels", "0.1,x"])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("lrdcp: error: --levels must be a comma list")
+
+    def test_bad_n_entry_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "experiment", "--kind", "size", "--hurst", "0.7",
+                    "--n", "50,abc",
+                ]
+            )
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(
+            "lrdcp: error: --n must be an integer or comma list"
+        )
+
+
+class TestConfigChecks:
+    def test_config_array_is_runtime_error(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[0.7]")
+        code = main(
+            [
+                "--config", str(cfg), "test", "--input", str(data_file),
+                "--hurst", "0.7",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad config {cfg}: expected a JSON object\n"
+        )
+
+    def test_bad_value_fails_when_its_flag_is_typed(self, data_file, cv_file,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": "abc"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "--config", str(cfg), "test", "--input", str(data_file),
+                    "--hurst", "0.7", "--level", "0.1", "--cv", str(cv_file),
+                ]
+            )
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"lrdcp: error: config {cfg}: level:")
+
+
 class TestReproduceTables:
     def test_smoke_run_emits_all_tables(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

@@ -68,6 +68,14 @@ class TestBuildSampler:
         assert build_sampler(FgnParams(0.7, 128)).embedding_size == 128
         assert build_sampler(FgnParams(0.7, 129)).embedding_size == 256
 
+    def test_first_embedding_holds_on_a_fine_hurst_grid(self):
+        # the tolerance check never rejects fGn's own embedding of size 2M
+        for n in (2, 3, 100, 129, 1000, 1025, 4096, 20000):
+            m = 1 << (n - 1).bit_length()
+            for k in range(1, 100):
+                sampler = build_sampler(FgnParams(k / 100, n))
+                assert sampler.embedding_size == m, (k, n)
+
     def test_weights_nonnegative(self):
         for hurst in (0.6, 0.7, 0.8, 0.9):
             sampler = build_sampler(FgnParams(hurst, 100))

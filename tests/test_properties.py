@@ -1,8 +1,12 @@
-"""Property tests of the rank, G_n and fGn kernels on drawn inputs.
+"""Property tests of the rank, G_n and fGn kernels and of the CLI's
+--config file, on drawn inputs.
 
 Hypothesis runs derandomized and without an example database, so every
 run checks the same examples.
 """
+
+import argparse
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from _oracle import naive_gn_oracle
+from lrdcp import cli
 from lrdcp.fgn import FgnParams, build_sampler, sample_fgn_block
 from lrdcp.rankstat import _midranks, rankdata
 from lrdcp.sntest import batch_tn_from_values
@@ -130,3 +135,73 @@ class TestDrawProperties:
         reversed_rows = sample_fgn_block(sampler, seed,
                                          range(hi - 1, lo - 1, -1), stream)
         assert reversed_rows[::-1].tobytes() == whole.tobytes()
+
+
+# the required flags of each subcommand, typed in every parse below
+REQUIRED = {
+    "test": ["--input", "x.txt"],
+    "generate-fgn": ["--length", "16", "--out", "x.txt"],
+    "critical-values": [],
+    "experiment": ["--kind", "size", "--n", "50"],
+    "reproduce-tables": ["--out", "tables"],
+}
+# values each flag type accepts, keyed by the type argparse converts with
+FLAG_VALUES = {
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    int: st.integers(-(2**70), 2**70),
+    cli._seed_arg: st.integers(0, 2**63 - 1),
+    None: st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+}
+OPTIONAL_FLAGS = [
+    (name, action)
+    for name, sub in cli.build_parser()._command_parsers.items()
+    for action in sub._actions
+    if action.option_strings and not action.required
+    and action.default is not argparse.SUPPRESS
+]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+def parse(name, typed=(), config=None, path=None):
+    """The namespace ``main`` would run, without its --config path."""
+    argv = [name, *REQUIRED[name], *typed]
+    if config is not None:
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    parser = cli.build_parser()
+    args = vars(cli._apply_config(parser, parser.parse_args(argv), argv))
+    del args["config"]
+    return args
+
+
+def flag_values(action):
+    """A valid value of ``action``'s flag, as JSON holds it."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    return FLAG_VALUES[action.type]
+
+
+class TestConfigProperties:
+    @pytest.mark.parametrize(
+        "name, action", OPTIONAL_FLAGS,
+        ids=[f"{name}{action.option_strings[0]}"
+             for name, action in OPTIONAL_FLAGS],
+    )
+    @settings(PROPERTY, max_examples=10)
+    @given(data=st.data())
+    def test_config_value_parses_as_the_typed_flag(self, name, action,
+                                                   config_path, data):
+        values = flag_values(action)
+        value, other = data.draw(values), data.draw(values)
+        as_text = data.draw(st.booleans())  # "0.7" and 0.7 both mean 0.7
+        config = {action.dest: str(value) if as_text else value}
+        flag = action.option_strings[0]
+        typed = parse(name, [f"{flag}={value}"])
+        assert parse(name, config=config, path=config_path) == typed
+        typed_other = [f"{flag}={other}"]  # the typed flag wins
+        assert (parse(name, typed_other, config, config_path)
+                == parse(name, typed_other))
