@@ -4,12 +4,22 @@ Replication indices are split into fixed-size chunks before any
 scheduling decision, each chunk is evaluated by a pure top-level function
 of its index range, and results are concatenated in chunk order.  The
 output is therefore bit-identical for any worker count; LRD_CP_THREADS
-caps the workers (default: the CPUs this process may run on), and a
-single worker short-circuits to in-process evaluation.
+sizes the pool (default: the CPUs this process may run on), and a single
+worker or a single task short-circuits to in-process evaluation.
+
+There is one pool per process, so later maps reuse warm workers.  It is
+forked at the first map that has two or more workers and two or more
+tasks, and kept until the process exits, or until LRD_CP_THREADS or the
+mapped function changes, when it is replaced by a fresh pool.  Its
+workers see the package as it was at that fork, so a monkeypatch made
+later does not reach them.  A map that raises drops the pool, and a
+child forked from this process forgets it.
 """
 
+import atexit
 import os
-from multiprocessing import Pool
+import threading
+from multiprocessing import Pool, process
 
 #: replications per chunk; fixed so results never depend on worker count
 CHUNK_SIZE = 500
@@ -20,6 +30,11 @@ CHUNK_SIZE = 500
 #: by the same expressions whatever block it falls in, so this size never
 #: changes an output bit.
 BLOCK_BYTES = 1 << 18
+
+# (pool, func, workers) of this process's pool, or None; maps from
+# several threads take turns on it
+_warm = None
+_lock = threading.Lock()
 
 
 def worker_count():
@@ -45,11 +60,47 @@ def chunk_ranges(total):
     return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
 
+def _close_pool():
+    """Terminate and join this process's pool, if it has one."""
+    global _warm
+    if _warm is not None:
+        pool = _warm[0]
+        _warm = None
+        pool.terminate()
+        pool.join()
+
+
+def _forget_pool():
+    # a forked child must not use its parent's workers, nor terminate them
+    # at exit as multiprocessing does with the children it knows of
+    global _warm, _lock
+    _lock = threading.Lock()
+    if _warm is not None:
+        process._children.difference_update(_warm[0]._pool)
+        _warm = None
+
+
+atexit.register(_close_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def chunked_map(func, tasks):
     """Map a picklable function over tasks, preserving task order."""
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [func(task) for task in tasks]
-    with Pool(workers) as pool:
-        # one chunk per dispatch, so workers finish within a chunk of each other
-        return pool.map(func, tasks, chunksize=1)
+    global _warm
+    workers = worker_count()
+    with _lock:
+        if _warm is not None and (_warm[1] is not func or _warm[2] != workers):
+            _close_pool()
+        if workers > 1 and len(tasks) > 1:
+            if _warm is None:
+                _warm = (Pool(workers), func, workers)
+            try:
+                # one chunk per dispatch, so workers finish within a chunk
+                # of each other
+                return _warm[0].map(func, tasks, chunksize=1)
+            except BaseException:
+                # an interrupted map leaves its tasks queued; a later map
+                # must not wait behind them
+                _close_pool()
+                raise
+    return [func(task) for task in tasks]

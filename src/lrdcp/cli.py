@@ -10,9 +10,11 @@ Machine-consumable first: results go to stdout as JSON unless --out is
 given.  Exit codes: 0 success, 1 runtime error, 2 usage error, which
 includes any value a spec (TestWindow, LimitSimSpec, ExperimentSpec,
 FgnParams) rejects.  A JSON config file (--config) may supply any
-optional flag by its underscored name, its value parsed as that flag's
-command-line text; explicit flags win, a null value leaves the flag at
-its default, and every other value is checked even when its flag is typed.
+optional flag by its underscored name, its value (a JSON string or
+number) parsed as that flag's command-line text; explicit flags win, a
+null value leaves the flag at its default, and every other value is
+checked even when its flag is typed.  A key that names no option of any
+subcommand is a usage error; options of other subcommands are ignored.
 Randomized subcommands either take --seed (an integer in [0, 2**63)) or
 draw one and record it in the output, so every run is replayable.
 """
@@ -342,11 +344,23 @@ def build_parser():
     return parser
 
 
+# JSON types a config value cannot take: no flag is boolean or structured
+_NOT_SCALAR = {bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _options(sub):
+    return {action.dest: action for action in sub._actions
+            if action.default is not argparse.SUPPRESS}
+
+
 def _apply_config(parser, args, argv):
     """Re-parse ``argv`` with the --config values as subcommand defaults.
 
-    Every non-null value for an option of the subcommand is parsed as its
-    flag's command-line text; argparse then keeps a typed flag over it.
+    Every key must name an option of some subcommand, and every non-null
+    value must be a JSON string or number.  Each value for an option of
+    this subcommand is parsed as its flag's command-line text; argparse
+    then keeps a typed flag over it.  Options of other subcommands are
+    ignored, so one file can serve several subcommands.
     """
     if not args.config:
         return args
@@ -357,16 +371,21 @@ def _apply_config(parser, args, argv):
             raise ValueError(f"bad config {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"bad config {args.config}: expected a JSON object")
-    sub = parser._command_parsers[args.command]
-    actions = {action.dest: action for action in sub._actions
-               if action.default is not argparse.SUPPRESS}
+    known = set().union(*map(_options, parser._command_parsers.values()))
+    actions = _options(parser._command_parsers[args.command])
     defaults = {}
     for key, value in config.items():
-        action = actions.get(key.replace("-", "_"))
-        if value is not None and action is not None:
-            defaults[action.dest] = _config_value(parser, args.config, key,
-                                                  value, action)
-    sub.set_defaults(**defaults)
+        dest = key.replace("-", "_")
+        if dest not in known:
+            parser.error(f"config {args.config}: {key}: "
+                         f"names no option of any subcommand")
+        if type(value) in _NOT_SCALAR:
+            parser.error(f"config {args.config}: {key}: expected a JSON "
+                         f"string or number, got {_NOT_SCALAR[type(value)]}")
+        if value is not None and dest in actions:
+            defaults[dest] = _config_value(parser, args.config, key, value,
+                                           actions[dest])
+    parser._command_parsers[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

@@ -241,9 +241,9 @@ def simulate_cells(cells):
     Tasks that differ only in ``hi``, ``shift`` and ``change_index``
     share a draw key, so a short trailing chunk reads the rows of a
     longer one; the map runs once per key, in the order the keys are
-    first asked for, so a process pool starts at most once and each
-    replication of each fGn series is drawn once.  Each cell's values
-    come back in replication order.
+    first asked for, so one map serves every cell and each replication
+    of each fGn series is drawn once.  Each cell's values come back in
+    replication order.
     """
     keys = {}
     for cell in cells:

@@ -83,12 +83,12 @@ def _midranks(values):
     A block where two keys of a row share their high bits (a tie or a
     near-tie) is ranked by the exact rule, reusing the key order.  Tied
     values already sit in sorted order there; only distinct near-ties
-    can be out of order, and then one adaptive stable argsort of the
-    nearly sorted values puts them in order (a row of many distinct
-    near-ties in scrambled order is the slow case).  A run of c equal
-    values from 0-based sorted position p on then gets the midrank
-    p + (c + 1) / 2.  Midranks are integers or half-integers, hence
-    exact.  Values must be NaN-free.
+    can be out of order, and then one argsort of the block puts them in
+    order: stable, which is adaptive, when fewer than 1 in 32 neighbours
+    are out of order, else quicksort.  A run of c equal values from
+    0-based sorted position p on then gets the midrank p + (c + 1) / 2.
+    Midranks are integers or half-integers, hence exact.  Values must be
+    NaN-free.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
@@ -116,8 +116,13 @@ def _midranks(values):
         ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
         return ranks.reshape(shape), np.zeros(shape[:-1], dtype=bool)
     ordered = rows.reshape(-1)[flat]
-    if (same[:-1] & (ordered[1:] < ordered[:-1])).any():
-        fix = np.argsort(ordered.reshape(rows.shape), axis=-1, kind="stable")
+    disorder = np.count_nonzero(same[:-1] & (ordered[1:] < ordered[:-1]))
+    if disorder:
+        # equal values share one midrank in any order, so any sort kind
+        # serves: the adaptive stable sort when few neighbours are out of
+        # order, quicksort (about 5x faster on scrambled rows) otherwise
+        kind = "stable" if 32 * disorder < len(flat) else "quicksort"
+        fix = np.argsort(ordered.reshape(rows.shape), axis=-1, kind=kind)
         fix += offsets[:, np.newaxis]
         fix = fix.reshape(-1)
         flat = flat[fix]

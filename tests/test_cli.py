@@ -895,6 +895,74 @@ class TestConfigChecks:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"lrdcp: error: config {cfg}: level:")
 
+    @pytest.mark.parametrize(
+        "value, outcome",
+        [
+            ("0.01", 0.01),
+            (0.01, 0.01),
+            (None, 0.05),
+            (True, "a boolean"),
+            (False, "a boolean"),
+            ([0.01], "an array"),
+            ({"level": 0.01}, "an object"),
+        ],
+        ids=["string", "number", "null", "true", "false", "array", "object"],
+    )
+    def test_each_json_type_of_a_value(self, value, outcome, data_file,
+                                       cv_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"level": value}))
+        argv = ["--config", str(cfg), "test", "--input", str(data_file),
+                "--hurst", "0.7", "--cv", str(cv_file)]
+        if isinstance(outcome, float):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["level"] == outcome
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"lrdcp: error: config {cfg}: level: expected a JSON string or "
+            f"number, got {outcome}"
+        )
+
+    def test_array_value_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # str(["a", 1]) once became the output path
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": ["a", 1]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", str(cfg), "critical-values", "--hurst", "0.7",
+                  "--reps", "100", "--grid", "100"])
+        assert excinfo.value.code == 2
+        assert "out: expected a JSON string or number" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_unknown_key_is_usage_error(self, data_file, cv_file, tmp_path,
+                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"levle": 0.01}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", str(cfg), "test", "--input", str(data_file),
+                  "--hurst", "0.7", "--cv", str(cv_file)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"lrdcp: error: config {cfg}: levle: names no option of any "
+            f"subcommand"
+        )
+
+    def test_option_of_another_subcommand_is_ignored(self, data_file, cv_file,
+                                                     tmp_path, capsys):
+        # one file can serve test and critical-values alike
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 200, "reps": "abc", "level": 0.1}))
+        code = main(["--config", str(cfg), "test", "--input", str(data_file),
+                     "--hurst", "0.7", "--cv", str(cv_file)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["level"] == 0.1
+
 
 class TestReproduceTables:
     def test_smoke_run_emits_all_tables(self, tmp_path, capsys):

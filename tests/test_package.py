@@ -114,6 +114,29 @@ def test_bench_tracer_wraps_existing_attributes(tmp_path):
         assert getattr(module, name) is original, name
 
 
+def test_bench_tracer_traces_workers_beside_a_cached_pool(tmp_path,
+                                                          monkeypatch):
+    # the tracer's workers must be forked after it is installed, even when
+    # an untraced map has left a pool alive
+    monkeypatch.setenv("LRD_CP_THREADS", "2")
+    tracing = _load_tracing()
+    # a worker unpickles the tracer's chunk wrapper by its module's name
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    tasks = limitdist.chunk_tasks(1000, hurst=0.7, n=50,
+                                  window=sntest.TestWindow(), master_seed=0)
+    untraced = limitdist.simulate_cells([tasks])[0]
+    tracer = tracing.Tracer(tmp_path / "spool")
+    tracer.install()
+    try:
+        traced = limitdist.simulate_cells([tasks])[0]
+    finally:
+        tracer.uninstall()
+    assert traced.tobytes() == untraced.tobytes()
+    draws = [s for s in tracer.spans if s["name"] == "fgn.sample_fgn_block"]
+    assert sum(span["attrs"]["rows"] for span in draws) == 1000
+    assert {span["pid"] for span in draws}.isdisjoint({os.getpid()})
+
+
 def test_public_names_resolve_once():
     assert len(lrdcp.__all__) == len(set(lrdcp.__all__))
     for name in lrdcp.__all__:

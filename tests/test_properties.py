@@ -1,11 +1,13 @@
-"""Property tests of the rank, G_n and fGn kernels and of the CLI's
---config file, on drawn inputs.
+"""Property tests of the rank, G_n and fGn kernels, of the chunked map of
+simulation cells and of the CLI's --config file, on drawn inputs.
 
 Hypothesis runs derandomized and without an example database, so every
 run checks the same examples.
 """
 
 import argparse
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from _oracle import naive_gn_oracle
-from lrdcp import cli
+from lrdcp import _parallel, cli, limitdist, sntest
 from lrdcp.fgn import FgnParams, build_sampler, sample_fgn_block
 from lrdcp.rankstat import _midranks, rankdata
 from lrdcp.sntest import batch_tn_from_values
@@ -137,6 +139,48 @@ class TestDrawProperties:
         assert reversed_rows[::-1].tobytes() == whole.tobytes()
 
 
+@st.composite
+def simulation_cells(draw):
+    """Cells of chunk tasks over at most two draw keys, in any order.
+
+    Replication counts are never multiples of the chunk size, so short
+    trailing chunks read rows of longer draws; a cell may repeat.
+    """
+    keys = draw(st.lists(
+        st.tuples(st.floats(0.55, 0.95), st.integers(10, 40),
+                  st.integers(0, 3)),
+        min_size=1, max_size=2,
+    ))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        hurst, n, stream = draw(st.sampled_from(keys))
+        reps = draw(st.integers(1, 1200).filter(
+            lambda r: r % _parallel.CHUNK_SIZE))
+        cells.append(limitdist.chunk_tasks(
+            reps, hurst=hurst, n=n, window=sntest.TestWindow(), master_seed=11,
+            stream=stream, use_ranks=draw(st.booleans()),
+            shift=draw(st.sampled_from([0.0, 0.5, -2.0])),
+            change_index=draw(st.integers(0, n - 1)),
+        ))
+    if draw(st.booleans()):
+        cells.append(draw(st.sampled_from(cells)))
+    return draw(st.permutations(cells))
+
+
+class TestCellProperties:
+    @settings(PROPERTY, max_examples=50)
+    @given(simulation_cells())
+    def test_cells_mapped_together_equal_each_cell_alone(self, cells):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("LRD_CP_THREADS", "1")
+            alone = [limitdist.simulate_cells([cell])[0].tobytes()
+                     for cell in cells]
+            for threads in ("1", "2"):
+                patch.setenv("LRD_CP_THREADS", threads)
+                together = limitdist.simulate_cells(cells)
+                assert [values.tobytes() for values in together] == alone
+
+
 # the required flags of each subcommand, typed in every parse below
 REQUIRED = {
     "test": ["--input", "x.txt"],
@@ -178,6 +222,14 @@ def parse(name, typed=(), config=None, path=None):
     return args
 
 
+# JSON values no flag takes
+NON_SCALARS = st.one_of(
+    st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
 def flag_values(action):
     """A valid value of ``action``'s flag, as JSON holds it."""
     if action.choices is not None:
@@ -205,3 +257,21 @@ class TestConfigProperties:
         typed_other = [f"{flag}={other}"]  # the typed flag wins
         assert (parse(name, typed_other, config, config_path)
                 == parse(name, typed_other))
+
+    @pytest.mark.parametrize(
+        "name, action", OPTIONAL_FLAGS,
+        ids=[f"{name}{action.option_strings[0]}"
+             for name, action in OPTIONAL_FLAGS],
+    )
+    @settings(PROPERTY, max_examples=5)
+    @given(value=NON_SCALARS)
+    def test_non_scalar_config_value_is_usage_error(self, name, action,
+                                                     config_path, value):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            parse(name, config={action.dest: value}, path=config_path)
+        assert exc.value.code == 2
+        assert err.getvalue().splitlines()[-1].startswith(
+            f"lrdcp: error: config {config_path}: {action.dest}: expected a "
+            f"JSON string or number, got "
+        )

@@ -127,6 +127,19 @@ class TestRankdata:
         )
         assert _midranks(rows)[1].tolist() == [True, False]
 
+    @pytest.mark.parametrize("n", [1000, 20_000])
+    def test_nearly_sorted_near_ties_match_scipy(self, n):
+        # one swapped pair among near-ties: the block is fixed up by the
+        # stable sort, scrambled rows (above) by quicksort
+        near = 1.0 + np.arange(n) * 2.0**-52
+        near[-1] = near[0]
+        near[[1, 2]] = near[[2, 1]]
+        rows = np.stack([near, np.random.default_rng(n).normal(size=n)])
+        assert_same_bits(
+            rankdata(rows), stats.rankdata(rows, method="average", axis=-1)
+        )
+        assert _midranks(rows)[1].tolist() == [True, False]
+
     def test_tie_flag_matches_distinct_count(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
