@@ -4,16 +4,17 @@ Replication indices are split into fixed-size chunks before any
 scheduling decision, each chunk is evaluated by a pure top-level function
 of its index range, and results are concatenated in chunk order.  The
 output is therefore bit-identical for any worker count; LRD_CP_THREADS
-sizes the pool (default: the CPUs this process may run on), and a single
+caps the pool (default: the CPUs this process may run on), and a single
 worker or a single task short-circuits to in-process evaluation.
 
 There is one pool per process, so later maps reuse warm workers.  It is
 forked at the first map that has two or more workers and two or more
-tasks, and kept until the process exits, or until LRD_CP_THREADS or the
-mapped function changes, when it is replaced by a fresh pool.  Its
-workers see the package as it was at that fork, so a monkeypatch made
-later does not reach them.  A map that raises drops the pool, and a
-child forked from this process forgets it.
+tasks, with one worker per task up to LRD_CP_THREADS, and kept until the
+process exits, or until LRD_CP_THREADS or the mapped function changes or
+a map has more tasks than it has workers below that cap, when it is
+replaced by a fresh pool.  Its workers see the package as it was at that
+fork, so a monkeypatch made later does not reach them.  A map that raises
+drops the pool, and a child forked from this process forgets it.
 """
 
 import atexit
@@ -31,8 +32,8 @@ CHUNK_SIZE = 500
 #: changes an output bit.
 BLOCK_BYTES = 1 << 18
 
-# (pool, func, workers) of this process's pool, or None; maps from
-# several threads take turns on it
+# (pool, func, worker_count(), pool size) of this process's pool, or None;
+# maps from several threads take turns on it
 _warm = None
 _lock = threading.Lock()
 
@@ -77,9 +78,13 @@ def _forget_pool():
     _lock = threading.Lock()
     if _warm is not None:
         process._children.difference_update(_warm[0]._pool)
+        # so that dropping the copy writes nothing to the parent's pool
+        _warm[0]._change_notifier = None
         _warm = None
 
 
+# multiprocessing's exit hook stops the workers but leaves the pool in its
+# running state, whose __del__ at interpreter teardown then fails loudly
 atexit.register(_close_pool)
 os.register_at_fork(after_in_child=_forget_pool)
 
@@ -88,12 +93,15 @@ def chunked_map(func, tasks):
     """Map a picklable function over tasks, preserving task order."""
     global _warm
     workers = worker_count()
+    size = min(workers, len(tasks))
     with _lock:
-        if _warm is not None and (_warm[1] is not func or _warm[2] != workers):
+        if _warm is not None and (
+            _warm[1] is not func or _warm[2] != workers or _warm[3] < size
+        ):
             _close_pool()
-        if workers > 1 and len(tasks) > 1:
+        if size > 1:
             if _warm is None:
-                _warm = (Pool(workers), func, workers)
+                _warm = (Pool(size), func, workers, size)
             try:
                 # one chunk per dispatch, so workers finish within a chunk
                 # of each other

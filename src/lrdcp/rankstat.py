@@ -120,7 +120,10 @@ def _midranks(values):
     if disorder:
         # equal values share one midrank in any order, so any sort kind
         # serves: the adaptive stable sort when few neighbours are out of
-        # order, quicksort (about 5x faster on scrambled rows) otherwise
+        # order (there 3-6x faster than quicksort), quicksort (about 5x
+        # faster on scrambled rows) otherwise; where rows are scrambled in
+        # spread-out places the two kinds cross between 1 in 50 and 1 in 20
+        # neighbours out of order
         kind = "stable" if 32 * disorder < len(flat) else "quicksort"
         fix = np.argsort(ordered.reshape(rows.shape), axis=-1, kind=kind)
         fix += offsets[:, np.newaxis]

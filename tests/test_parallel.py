@@ -1,6 +1,7 @@
 """Tests for the worker count, the chunked map and its pool's lifetime."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -53,6 +54,8 @@ def _run_script(code):
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    # nothing, such as a pool's failing __del__ at exit, goes to stderr
+    assert done.stderr == ""
     return done.stdout
 
 
@@ -154,6 +157,19 @@ class TestWarmPool:
         assert not one & two and not two & other
         # maps of simulate_chunk in and out of process agree bit for bit
         assert len(set(values)) == 1
+
+    def test_a_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # a map with more tasks than the pool has workers, below the cap,
+        # forks a larger pool; a map with fewer tasks reuses it
+        monkeypatch.setenv("LRD_CP_THREADS", "4")
+        _parallel._close_pool()
+        sizes = []
+        for count in [2, 3, 2]:
+            assert _parallel.chunked_map(_square, list(range(count))) == [
+                t * t for t in range(count)
+            ]
+            sizes.append(len(multiprocessing.active_children()))
+        assert sizes == [2, 3, 3]
 
     def test_threads_take_turns_on_the_pool(self, monkeypatch):
         # maps of two functions from six threads: none may close the pool
