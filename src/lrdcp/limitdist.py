@@ -19,7 +19,7 @@ rank ceil((1 - level) * R), no interpolation.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .fgn import (
     REPLICATION_LIMIT,
     STREAM_LIMIT,
     FgnParams,
+    SamplerGroup,
     build_sampler,
     check_seed,
+    embedding_size,
     sample_fgn_block,
 )
 from .sntest import TestWindow, batch_tn_from_values
@@ -180,9 +182,10 @@ class SimChunk:
 
     The series gets ``shift`` added from ``change_index`` on, and is
     scored by the rank kernel (``use_ranks``) or the value kernel.  The
-    limit law is the unranked, unshifted case on ``STREAM_LIMIT``.  The
-    task with ``hi``, ``shift`` and ``change_index`` cleared is its draw
-    key: row r of the fGn block depends on nothing else.
+    limit law is the unranked, unshifted case on ``STREAM_LIMIT``.  Its
+    draw key is (master_seed, stream, lo, M), M = ``embedding_size(n)``:
+    row r's normals depend on nothing else, so tasks of every H and n
+    with one key read the same normals.
     """
 
     hurst: float
@@ -208,49 +211,72 @@ def chunk_tasks(replications, **fields):
 def simulate_chunk(tasks):
     """Statistic values of each chunk task of one draw key, in task order.
 
-    The tasks share ``lo`` and differ at most in ``hi``, ``shift`` and
-    ``change_index``, so one block of fGn, replications [lo, max hi),
-    serves them all: each task scores the block's leading ``hi - lo``
-    rows.  A shifted task scores a shifted copy of them, except the last
-    task, which shifts the block itself.  Every value is a pure function
-    of its task.
+    The tasks share a draw key (see ``SimChunk``).  One sampler serves
+    each (hurst, n) of them, and one ``SamplerGroup`` of those samplers
+    draws every row's normals once, from ``lo`` up to the longest task's
+    ``hi``; a sampler transforms only the rows up to its own tasks'
+    longest ``hi``.  Rows are drawn and scored in slabs that hold, over
+    all samplers, no more series than the whole chunk of the longest n
+    alone, so a group's memory does not grow with its number of Hurst
+    values, and a group of one sampler takes the chunk in one slab.  The
+    slabs of a chunk reuse the group's generator and buffers.  Each task
+    scores the rows of its sampler's slab below its ``hi``; a shifted
+    task scores a shifted copy of them, except its sampler's last task,
+    which shifts the slab itself.  Every value is a pure function of its
+    task.
     """
     first = tasks[0]
-    sampler = build_sampler(FgnParams(first.hurst, first.n))
-    block = sample_fgn_block(
-        sampler, first.master_seed,
-        range(first.lo, max(task.hi for task in tasks)), stream=first.stream,
+    by_sampler = {}
+    for task in tasks:
+        by_sampler.setdefault((task.hurst, task.n), []).append(task)
+    group = SamplerGroup(
+        tuple(build_sampler(FgnParams(*params)) for params in by_sampler),
+        tuple(max(task.hi for task in own) for own in by_sampler.values()),
     )
-    k_lo, k_hi = first.window.split_range(first.n)
-    values = []
-    for i, task in enumerate(tasks):
-        series = block[: task.hi - task.lo]
-        if task.shift != 0.0:
-            if i < len(tasks) - 1:
-                series = series.copy()
-            series[:, task.change_index:] += task.shift
-        values.append(
-            batch_tn_from_values(series, k_lo, k_hi, use_ranks=task.use_ranks)
-        )
-    return values
+    top = max(group.stops)
+    lengths = [n for _, n in by_sampler]
+    slab = max(1, (top - first.lo) * max(lengths) // sum(lengths))
+    pieces = {task: [] for task in tasks}
+    for lo in range(first.lo, top, slab):
+        blocks = sample_fgn_block(group, first.master_seed,
+                                  range(lo, min(lo + slab, top)), first.stream)
+        for block, own in zip(blocks, by_sampler.values()):
+            for i, task in enumerate(own):
+                if task.hi <= lo:
+                    continue
+                series = block[: task.hi - lo]
+                if task.shift != 0.0:
+                    if i < len(own) - 1:
+                        series = series.copy()
+                    series[:, task.change_index:] += task.shift
+                k_lo, k_hi = task.window.split_range(task.n)
+                pieces[task].append(batch_tn_from_values(
+                    series, k_lo, k_hi, use_ranks=task.use_ranks))
+    return [np.concatenate(pieces[task]) for task in tasks]
 
 
 def simulate_cells(cells):
     """Values of each cell (a list of chunk tasks), from one chunked map.
 
-    Tasks that differ only in ``hi``, ``shift`` and ``change_index``
-    share a draw key, so a short trailing chunk reads the rows of a
-    longer one; the map runs once per key, in the order the keys are
-    first asked for, so one map serves every cell and each replication
-    of each fGn series is drawn once.  Each cell's values come back in
+    Tasks group by draw key (see ``SimChunk``), which tasks of any H, n,
+    shift and end share: each row's normals are drawn once for every H
+    and n of one embedding size, and a short trailing chunk reads the
+    rows of a longer one.  The map runs ``simulate_chunk`` once per key.
+    Keys go to the pool longest first, by the sum of (hi - lo) * n over
+    their tasks, in a stable sort, so keys of equal work keep the order
+    they were first asked for.  Each cell's values come back in
     replication order.
     """
     keys = {}
     for cell in cells:
         for task in cell:
-            key = replace(task, hi=task.lo, shift=0.0, change_index=0)
+            key = (task.master_seed, task.stream, task.lo,
+                   embedding_size(task.n))
             keys.setdefault(key, {})[task] = None
-    groups = [tuple(tasks) for tasks in keys.values()]
+    groups = sorted(
+        (tuple(tasks) for tasks in keys.values()),
+        key=lambda group: -sum((task.hi - task.lo) * task.n for task in group),
+    )
     # forked workers inherit the draw's modules instead of each importing
     # them; imported here, not at module level, to keep `import lrdcp` lean
     import numpy.fft  # noqa: F401

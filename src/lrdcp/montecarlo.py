@@ -279,8 +279,9 @@ def reproduce_tables(out_dir, scale=1.0, master_seed=0, window=TestWindow()):
     os.makedirs(out_dir, exist_ok=True)
     # every chunk of every row in one map, read back below in the same
     # order: a power cell's two level rows ask for the same chunk tasks,
-    # and each power cell shares the draws of the size cell at its (H, n),
-    # so each chunk is scored and each block of fGn drawn once
+    # each power cell shares the draws of the size cell at its (H, n), and
+    # every H shares the normals of its embedding size, so each chunk is
+    # scored once and each row's normals are drawn once per size
     cells = iter(simulate_cells(
         [limit_tasks(spec) for spec in limit_specs]
         + [experiment_tasks(spec)

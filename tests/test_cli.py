@@ -601,7 +601,8 @@ class TestExperimentCommand:
             ]
         )
         assert code == 0
-        assert maps == [6]
+        # two chunks at each embedding size: n = 80 and 120 share M = 128
+        assert maps == [4]
         assert len(json.loads(capsys.readouterr().out)) == 3
 
     def test_local_alt_alias(self, cv_file, capsys):

@@ -225,6 +225,32 @@ class TestRowBlocks:
         assert drawn.tobytes() == single.tobytes()
 
 
+
+class TestSamplerGroup:
+    # three samplers of M = 128, the second across two normal blocks
+    PARAMS = [(0.6, 100), (0.8, 120), (0.7, 128)]
+
+    def test_each_sampler_draws_its_own_rows(self):
+        samplers = [build_sampler(FgnParams(*p)) for p in self.PARAMS]
+        block = _parallel.BLOCK_BYTES // (16 * 128)
+        stops = (40, 5 + block + 3, 1 << 48)
+        group = fgn.SamplerGroup(tuple(samplers), stops)
+        for reps in (range(5, 5 + 2 * block), range(5 + 2 * block, 300)):
+            drawn = sample_fgn_block(group, 9, reps, fgn.STREAM_EXPERIMENT)
+            for sampler, stop, rows in zip(samplers, stops, drawn):
+                alone = sample_fgn_block(
+                    sampler, 9, [rep for rep in reps if rep < stop],
+                    stream=fgn.STREAM_EXPERIMENT,
+                )
+                assert rows.tobytes() == alone.tobytes()
+
+    def test_embedding_sizes_must_agree(self):
+        samplers = (build_sampler(FgnParams(0.7, 128)),
+                    build_sampler(FgnParams(0.7, 129)))
+        with pytest.raises(ValueError, match=r"one embedding size"):
+            fgn.SamplerGroup(samplers, (10, 10))
+
+
 class TestFbmGrid:
     def test_terminal_variance_is_one(self):
         # Var B_H(1) = 1 exactly for every grid, by the fGn sum identity

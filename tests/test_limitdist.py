@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lrdcp import (
     upper_quantile,
 )
 from lrdcp.fgn import STREAM_LIMIT, FgnParams, build_sampler, sample_fgn_block
+from lrdcp.limitdist import SimChunk, simulate_chunk
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 from lrdcp.sntest import batch_tn_from_values
 
@@ -100,6 +102,35 @@ class TestFunctional:
             increments = sample_fgn_block(sampler, 5, [rep], stream=STREAM_LIMIT)
             one = batch_tn_from_values(increments, k_lo, k_hi, use_ranks=False)
             assert one[0] == values[rep]
+
+
+
+def traced_peak(tasks):
+    """simulate_chunk's values of ``tasks`` and its peak of traced bytes."""
+    simulate_chunk(tasks)  # FFT plans and other first-call state
+    tracemalloc.start()
+    try:
+        return simulate_chunk(tasks), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSharedNormals:
+    def test_many_hursts_hold_less_than_one_more_block(self):
+        # one draw key, 16 H against 2: the larger group's peak exceeds
+        # the smaller's by less than one sampler's block of the chunk
+        rows, n = 500, 200
+        tasks = tuple(
+            SimChunk(hurst=0.55 + 0.025 * i, n=n, window=Window(),
+                     master_seed=3, lo=0, hi=rows)
+            for i in range(16)
+        )
+        values, peak16 = traced_peak(tasks)
+        _, peak2 = traced_peak(tasks[:2])
+        assert peak16 - peak2 < rows * n * 8
+        for task, task_values in zip(tasks, values):
+            alone = simulate_chunk((task,))[0]
+            assert task_values.tobytes() == alone.tobytes()
 
 
 class TestUpperQuantile:

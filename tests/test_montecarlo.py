@@ -459,9 +459,11 @@ class TestReproduceTables:
 
     def test_one_map_over_every_chunk(self, reproduced):
         # 4 limit cells and 20 size cells of one chunk each; the 48 power
-        # cells share the draw keys of the size cells at their (H, n)
+        # cells share the draw keys of the size cells at their (H, n), and
+        # every H shares the keys of its embedding size: one limit key
+        # (M = 1024) and five size keys (M = 16, 64, 128, 512, 1024)
         for _, maps in reproduced.values():
-            assert maps == [24]
+            assert maps == [6]
 
     def test_equals_per_cell_reference(self, reproduced):
         assert reproduced["2"][0] == per_cell_tables()
@@ -469,9 +471,10 @@ class TestReproduceTables:
 
 class TestTableWork:
     def test_level_rows_share_their_chunks(self, tmp_path, monkeypatch):
-        # 72 scored cells (4 limit, 20 size, 48 power) on 24 draw keys
-        # (4 limit, 20 size) of 200 replications each: splitting each
-        # power cell into one row per level scores no chunk twice
+        # 72 scored cells (4 limit, 20 size, 48 power) on 6 draw keys
+        # (1 limit, 5 size) of 200 replications each: splitting each
+        # power cell into one row per level scores no chunk twice, and
+        # the four H of one embedding size draw their normals once
         scored, drawn = [], []
         kernel = limitdist.batch_tn_from_values
         sample_fgn_block = limitdist.sample_fgn_block
@@ -491,7 +494,7 @@ class TestTableWork:
         reproduce_tables(str(tmp_path), scale=TABLES_SCALE,
                          master_seed=TABLES_SEED)
         assert sum(scored) == 72 * TABLES_REPS == 14_400
-        assert sum(drawn) == 24 * TABLES_REPS == 4_800
+        assert sum(drawn) == 6 * TABLES_REPS == 1_200
 
     def test_replication_counts(self):
         assert montecarlo.table_replications(0.1) == {

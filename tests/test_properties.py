@@ -1,5 +1,7 @@
-"""Property tests of the rank, G_n and fGn kernels, of the chunked map of
-simulation cells and of the CLI's --config file, on drawn inputs.
+"""Property tests of the rank, G_n and fGn kernels, of the statistics'
+exact invariances, of the chunked map of simulation cells, of the
+critical-value JSON and of the CLI's series reader and --config file, on
+drawn inputs.
 
 Hypothesis runs derandomized and without an example database, so every
 run checks the same examples.
@@ -20,7 +22,7 @@ from scipy import stats
 from _oracle import naive_gn_oracle
 from lrdcp import _parallel, cli, limitdist, sntest
 from lrdcp.fgn import FgnParams, build_sampler, sample_fgn_block
-from lrdcp.rankstat import _midranks, rankdata
+from lrdcp.rankstat import TimeSeries, _midranks, rankdata
 from lrdcp.sntest import batch_tn_from_values
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100,
@@ -108,6 +110,58 @@ class TestKernelProperties:
 
 
 @st.composite
+def increasing_images(draw):
+    """A series, its image under a strictly increasing map, and a shift.
+
+    The series is drawn over an alphabet of 1 to n values, so it has ties
+    unless the alphabet is as long as it; the shift is an integer that
+    keeps every sum exact.
+    """
+    n = draw(st.integers(8, 60))
+    alphabet = draw(st.integers(1, n))
+    x = draw(arrays(np.float64, n,
+                    elements=st.integers(0, alphabet - 1).map(float)))
+    support = np.unique(x)
+    image = np.sort(draw(arrays(
+        np.float64, len(support), unique=True,
+        elements=st.floats(-1e300, 1e300, allow_subnormal=True),
+    )))
+    return x, image[np.searchsorted(support, x)], draw(
+        st.integers(-(2**40), 2**40))
+
+
+# magnitudes 0 or in [1e-6, 1e3], so every x * 2**e with |e| <= 1000 is
+# an exact, normal float
+SCALABLE = st.one_of(st.just(0.0), st.floats(1e-6, 1e3),
+                     st.floats(-1e3, -1e-6))
+
+
+def _same_result(a, b):
+    return (a.profile.tobytes() == b.profile.tobytes()
+            and (a.statistic, a.argmax_k, a.tie_flag, a.degenerate_flag)
+            == (b.statistic, b.argmax_k, b.tie_flag, b.degenerate_flag))
+
+
+class TestInvarianceProperties:
+    @settings(PROPERTY, max_examples=50)
+    @given(increasing_images())
+    def test_rank_statistic_ignores_increasing_maps_and_shifts(self, case):
+        x, image, shift = case
+        base = sntest.tn_statistic(TimeSeries(x))
+        assert _same_result(sntest.tn_statistic(TimeSeries(image)), base)
+        assert _same_result(sntest.tn_statistic(TimeSeries(x + shift)), base)
+
+    @PROPERTY
+    @given(arrays(np.float64, st.integers(8, 60), elements=SCALABLE),
+           st.integers(-1000, 1000))
+    def test_cusum_keeps_every_bit_under_powers_of_two(self, x, exponent):
+        base = sntest.sn_cusum_statistic(TimeSeries(x))
+        scaled = sntest.sn_cusum_statistic(TimeSeries(np.ldexp(x, exponent)))
+        assert _same_result(scaled, base)
+        assert not np.isnan(scaled.profile).any()
+
+
+@st.composite
 def replication_splits(draw):
     """A replication range [lo, hi) and sorted cut points inside it."""
     lo = draw(st.integers(0, 2**48 - 40))
@@ -141,34 +195,48 @@ class TestDrawProperties:
 
 @st.composite
 def simulation_cells(draw):
-    """Cells of chunk tasks over at most two draw keys, in any order.
+    """Cells of chunk tasks over two or three draw keys, in any order.
 
-    Replication counts are never multiples of the chunk size, so short
-    trailing chunks read rows of longer draws; a cell may repeat.
+    The first two keys share a stream and an embedding size M but differ
+    in H and in n, and one is scored by each kernel, so their chunks are
+    drawn together and transformed apart.  Replication counts are never
+    multiples of the chunk size, so short trailing chunks read rows of
+    longer draws; a cell may repeat.
     """
-    keys = draw(st.lists(
+    m = draw(st.sampled_from([16, 32, 64]))
+    lengths = draw(st.lists(st.integers(max(10, m // 2 + 1), m),
+                            min_size=2, max_size=2, unique=True))
+    hursts = draw(st.lists(st.floats(0.55, 0.95), min_size=2, max_size=2,
+                           unique=True))
+    stream = draw(st.integers(0, 3))
+    keys = [(hurst, n, stream) for hurst, n in zip(hursts, lengths)]
+    keys += draw(st.lists(
         st.tuples(st.floats(0.55, 0.95), st.integers(10, 40),
                   st.integers(0, 3)),
-        min_size=1, max_size=2,
+        max_size=1,
     ))
-    cells = []
-    for _ in range(draw(st.integers(1, 4))):
-        hurst, n, stream = draw(st.sampled_from(keys))
+
+    def cell(hurst, n, stream, use_ranks):
         reps = draw(st.integers(1, 1200).filter(
             lambda r: r % _parallel.CHUNK_SIZE))
-        cells.append(limitdist.chunk_tasks(
+        return limitdist.chunk_tasks(
             reps, hurst=hurst, n=n, window=sntest.TestWindow(), master_seed=11,
-            stream=stream, use_ranks=draw(st.booleans()),
+            stream=stream, use_ranks=use_ranks,
             shift=draw(st.sampled_from([0.0, 0.5, -2.0])),
             change_index=draw(st.integers(0, n - 1)),
-        ))
+        )
+
+    cells = [cell(*key, use_ranks) for key, use_ranks in
+             zip(keys, draw(st.permutations([True, False])))]
+    for _ in range(draw(st.integers(0, 2))):
+        cells.append(cell(*draw(st.sampled_from(keys)), draw(st.booleans())))
     if draw(st.booleans()):
         cells.append(draw(st.sampled_from(cells)))
     return draw(st.permutations(cells))
 
 
 class TestCellProperties:
-    @settings(PROPERTY, max_examples=50)
+    @settings(PROPERTY, max_examples=30)
     @given(simulation_cells())
     def test_cells_mapped_together_equal_each_cell_alone(self, cells):
         with pytest.MonkeyPatch.context() as patch:
@@ -179,6 +247,75 @@ class TestCellProperties:
                 patch.setenv("LRD_CP_THREADS", threads)
                 together = limitdist.simulate_cells(cells)
                 assert [values.tobytes() for values in together] == alone
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+CV_TABLES = st.builds(
+    limitdist.CriticalValueTable,
+    hurst=FINITE,
+    window=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=2, max_size=2, unique=True)
+    .map(lambda taus: sntest.TestWindow(*sorted(taus))),
+    quantiles=st.dictionaries(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), FINITE,
+        min_size=1, max_size=5,
+    ),
+    replications=st.integers(0, 2**48),
+    grid_size=st.integers(0, 10**6),
+    master_seed=st.integers(0, 2**63 - 1),
+    generator=st.text(max_size=20),
+)
+
+
+class TestTableProperties:
+    @settings(PROPERTY, max_examples=50)
+    @given(CV_TABLES)
+    def test_table_round_trips_through_json(self, table):
+        text = table.to_json()
+        parsed = limitdist.CriticalValueTable.from_json(text)
+        assert parsed == table
+        assert parsed.to_json() == text
+
+
+COMMENTS = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+).map(lambda parts: parts[0] + "#" + parts[1])
+PADDING = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def series_files(draw):
+    """Finite values and a file text holding their ``repr``s.
+
+    One padded value per line, between drawn blank lines and comments,
+    with one drawn line ending and an optional final one.
+    """
+    values = draw(st.lists(FINITE, min_size=4, max_size=30))
+    extra = st.lists(st.one_of(PADDING, COMMENTS), max_size=2)
+    lines = []
+    for value in values:
+        lines += draw(extra)
+        lines.append(draw(PADDING) + repr(value) + draw(PADDING))
+    lines += draw(extra)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return values, ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@pytest.fixture(scope="module")
+def series_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("series") / "series.txt"
+
+
+class TestReaderProperties:
+    @settings(PROPERTY, max_examples=50)
+    @given(series_files())
+    def test_read_series_round_trips_repr_lines(self, series_path, case):
+        values, text = case
+        series_path.write_bytes(text.encode())
+        assert (cli.read_series(series_path).values.tobytes()
+                == np.array(values).tobytes())
 
 
 # the required flags of each subcommand, typed in every parse below
