@@ -261,7 +261,8 @@ def _draw(group, master_seed, reps, stream):
     # (square-rooted weights, their scaled interior, output block) of each
     # sampler; the blocks come after the two buffers above, so dropping
     # those frees memory below the blocks, not the heap's top, which
-    # glibc would hand back to the OS for the kernel to fault in again
+    # glibc would hand back to the OS for the statistic kernel's next
+    # allocations to fault in again
     plans = []
     for i, (sampler, count) in enumerate(zip(group.samplers, counts)):
         weights = np.sqrt(sampler.spectral_weights)
@@ -286,7 +287,8 @@ def _draw(group, master_seed, reps, stream):
                 ab, 2 * m, axis=-1)[:, : out.shape[1]]
     if reps and max(reps) + 1 >= max(group.stops):
         # no later draw of the group needs them; held while the caller
-        # scores these rows, they slowed the kernel's own allocations
+        # scores these rows, they slowed the statistic kernel's own
+        # allocations
         workspace.drop("normals", "amplitudes")
     return [out for _, _, out in plans]
 
