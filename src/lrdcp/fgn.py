@@ -130,27 +130,6 @@ def build_sampler(params):
     return FgnSampler(params, np.clip(lam, 0.0, None))
 
 
-class _Workspace:
-    """The Philox generator and the buffers that a group's draws reuse."""
-
-    def __init__(self):
-        self.bit_generator = np.random.Philox()
-        self.generator = np.random.Generator(self.bit_generator)
-        self._buffers = {}
-
-    def buffer(self, name, rows, columns, dtype=np.float64):
-        """The leading ``rows`` rows of buffer ``name``, grown on demand."""
-        held = self._buffers.get(name)
-        if held is None or len(held) < rows:
-            held = self._buffers[name] = np.empty((rows, columns), dtype)
-        return held[:rows]
-
-    def drop(self, *names):
-        """Free the named buffers; a later ``buffer`` call makes them anew."""
-        for name in names:
-            self._buffers.pop(name, None)
-
-
 @dataclass(frozen=True)
 class SamplerGroup:
     """Samplers of one embedding size M that share each row's normals.
@@ -158,23 +137,16 @@ class SamplerGroup:
     A row's 2M normals depend only on (master_seed, replication, stream),
     so ``sample_fgn_block(group, ...)`` sets each row's key and draws its
     normals once, and every sampler's amplitudes and inverse FFT read
-    them.  Sampler i transforms only the leading rows whose replication
-    indices lie below ``stops[i]``.  The draws of one group reuse one
-    Philox generator and one set of buffers: the blocks a draw returns
-    are overwritten by the group's next draw.
+    them.
     """
 
     samplers: tuple
-    stops: tuple
-    _workspace: _Workspace = field(default_factory=_Workspace,
-                                   compare=False, repr=False)
 
     def __post_init__(self):
         sizes = {sampler.embedding_size for sampler in self.samplers}
-        if len(sizes) != 1 or len(self.stops) != len(self.samplers):
+        if len(sizes) != 1:
             raise ValueError(
-                f"a sampler group needs one stop per sampler and one "
-                f"embedding size, got {len(self.stops)} stops for "
+                f"a sampler group needs one embedding size, got "
                 f"{len(self.samplers)} samplers of sizes {sorted(sizes)}"
             )
 
@@ -210,18 +182,19 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     ``master_seed`` must lie in [0, 2**63), ``stream`` in [0, 2**15) and
     each replication index in [0, 2**48); anything else is a ValueError.
     Row r is a pure function of (params, master_seed, replications[r],
-    stream), independent of how the indices are grouped into blocks.
-    Before a row's normals are drawn, the key of one Philox state dict is
-    set to that replication's and the generator is reset to the dict.
-    Rows go through the draw, the amplitudes and the inverse FFT in
-    blocks of about ``_parallel.BLOCK_BYTES`` of normals, which reuse one
-    normal and one amplitude buffer; the amplitudes are written into that
-    buffer's real and imaginary parts, with no complex temporaries.
+    stream), independent of how the indices are grouped into blocks.  One
+    Philox generator and one state dict serve the call: before a row's
+    normals are drawn, the dict's key is set to that replication's and
+    the generator is reset to the dict.  Rows go through the draw, the
+    amplitudes and the inverse FFT in blocks of about
+    ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and one
+    amplitude buffer; the amplitudes are written into that buffer's real
+    and imaginary parts, with no complex temporaries.
 
     ``sampler`` may also be a ``SamplerGroup``: then each row's normals
     are drawn once for every sampler of the group, and the result is a
-    list of blocks, one per sampler, each holding that sampler's leading
-    rows below its stop, bit for bit the rows it would draw alone.
+    list of blocks, one per sampler, each bit for bit the block that
+    sampler would draw alone.
     """
     check_seed(master_seed)
     if not 0 <= stream < _STREAM_BOUND:
@@ -230,67 +203,42 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
         raise ValueError(f"replication indices must lie in [0, 2**48), "
                          f"got {min(reps)}..{max(reps)}")
-    if isinstance(sampler, SamplerGroup):
-        return _draw(sampler, master_seed, reps, stream)
-    alone = SamplerGroup((sampler,), (REPLICATION_LIMIT,))
-    return _draw(alone, master_seed, reps, stream)[0]
-
-
-def _leading_below(reps, stop):
-    """How many leading replication indices lie below ``stop``."""
-    if not reps or max(reps) < stop:
-        return len(reps)
-    return next(i for i, rep in enumerate(reps) if rep >= stop)
-
-
-def _draw(group, master_seed, reps, stream):
-    """Each sampler's block of ``sample_fgn_block`` for a checked group."""
-    workspace = group._workspace
-    bit_generator, generator = workspace.bit_generator, workspace.generator
+    is_group = isinstance(sampler, SamplerGroup)
+    samplers = sampler.samplers if is_group else (sampler,)
+    m = sampler.embedding_size
+    root_2m = np.sqrt(2.0 * m)
+    bit_generator = np.random.Philox()
+    generator = np.random.Generator(bit_generator)
     state = _philox_state(master_seed, 0, stream)
     key = state["state"]["key"]
-    m = group.embedding_size
-    root_2m = np.sqrt(2.0 * m)
-    # each sampler transforms the leading rows below its stop
-    counts = [_leading_below(reps, stop) for stop in group.stops]
-    drawn = max(counts)
-    block = max(1, min(drawn, _parallel.BLOCK_BYTES // (16 * m)))
-    w = workspace.buffer("normals", block, 2 * m)
+    block = max(1, min(len(reps), _parallel.BLOCK_BYTES // (16 * m)))
+    w = np.empty((block, 2 * m))
     # spectral amplitudes: one complex row per replication
-    amps = workspace.buffer("amplitudes", block, m + 1, np.complex128)
-    # (square-rooted weights, their scaled interior, output block) of each
-    # sampler; the blocks come after the two buffers above, so dropping
-    # those frees memory below the blocks, not the heap's top, which
-    # glibc would hand back to the OS for the statistic kernel's next
-    # allocations to fault in again
+    amps = np.empty((block, m + 1), dtype=np.complex128)
+    # (square-rooted weights, their scaled interior, output block) of
+    # each sampler; the blocks come after the two buffers, which are
+    # freed at return
     plans = []
-    for i, (sampler, count) in enumerate(zip(group.samplers, counts)):
-        weights = np.sqrt(sampler.spectral_weights)
-        out = workspace.buffer(i, count, sampler.params.length)
-        plans.append((weights, np.sqrt(float(m)) * weights[1:m], out))
-    for lo in range(0, drawn, block):
-        wb = w[: min(block, drawn - lo)]
-        for i, rep in enumerate(reps[lo : lo + len(wb)]):
+    for one in samplers:
+        weights = np.sqrt(one.spectral_weights)
+        plans.append((weights, np.sqrt(float(m)) * weights[1:m],
+                      np.empty((len(reps), one.params.length))))
+    for lo in range(0, len(reps), block):
+        block_reps = reps[lo : lo + block]
+        wb, ab = w[: len(block_reps)], amps[: len(block_reps)]
+        for i, rep in enumerate(block_reps):
             key[1] = (stream << 48) | rep
             bit_generator.state = state
             generator.standard_normal(out=wb[i])
         for weights, scale, out in plans:
-            rows = min(len(out) - lo, len(wb))
-            if rows <= 0:
-                continue
-            wr, ab = wb[:rows], amps[:rows]
-            ab[:, 0] = root_2m * weights[0] * wr[:, 0]
-            ab[:, m] = root_2m * weights[m] * wr[:, 1]
-            np.multiply(scale, wr[:, 2 : m + 1], out=ab.real[:, 1:m])
-            np.multiply(scale, wr[:, m + 1 :], out=ab.imag[:, 1:m])
-            out[lo : lo + rows] = np.fft.irfft(
+            ab[:, 0] = root_2m * weights[0] * wb[:, 0]
+            ab[:, m] = root_2m * weights[m] * wb[:, 1]
+            np.multiply(scale, wb[:, 2 : m + 1], out=ab.real[:, 1:m])
+            np.multiply(scale, wb[:, m + 1 :], out=ab.imag[:, 1:m])
+            out[lo : lo + len(ab)] = np.fft.irfft(
                 ab, 2 * m, axis=-1)[:, : out.shape[1]]
-    if reps and max(reps) + 1 >= max(group.stops):
-        # no later draw of the group needs them; held while the caller
-        # scores these rows, they slowed the statistic kernel's own
-        # allocations
-        workspace.drop("normals", "amplitudes")
-    return [out for _, _, out in plans]
+    blocks = [out for _, _, out in plans]
+    return blocks if is_group else blocks[0]
 
 
 def sample_fgn(sampler, seed):

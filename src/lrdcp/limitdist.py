@@ -214,12 +214,10 @@ def simulate_chunk(tasks):
     The tasks share a draw key (see ``SimChunk``).  One sampler serves
     each (hurst, n) of them, and one ``SamplerGroup`` of those samplers
     draws every row's normals once, from ``lo`` up to the longest task's
-    ``hi``; a sampler transforms only the rows up to its own tasks'
-    longest ``hi``.  Rows are drawn and scored in slabs that hold, over
-    all samplers, no more series than the whole chunk of the longest n
-    alone, so a group's memory does not grow with its number of Hurst
-    values, and a group of one sampler takes the chunk in one slab.  The
-    slabs of a chunk reuse the group's generator and buffers.  Each task
+    ``hi``.  Rows are drawn and scored in slabs that hold, over all
+    samplers, no more series than the whole chunk of the longest n alone,
+    so a group's memory does not grow with its number of Hurst values,
+    and a group of one sampler takes the chunk in one slab.  Each task
     scores the rows of its sampler's slab below its ``hi``; a shifted
     task scores a shifted copy of them, except its sampler's last task,
     which shifts the slab itself.  Every value is a pure function of its
@@ -230,10 +228,8 @@ def simulate_chunk(tasks):
     for task in tasks:
         by_sampler.setdefault((task.hurst, task.n), []).append(task)
     group = SamplerGroup(
-        tuple(build_sampler(FgnParams(*params)) for params in by_sampler),
-        tuple(max(task.hi for task in own) for own in by_sampler.values()),
-    )
-    top = max(group.stops)
+        tuple(build_sampler(FgnParams(*params)) for params in by_sampler))
+    top = max(task.hi for task in tasks)
     lengths = [n for _, n in by_sampler]
     slab = max(1, (top - first.lo) * max(lengths) // sum(lengths))
     pieces = {task: [] for task in tasks}

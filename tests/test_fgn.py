@@ -227,28 +227,38 @@ class TestRowBlocks:
 
 
 class TestSamplerGroup:
-    # three samplers of M = 128, the second across two normal blocks
+    # three samplers of M = 128
     PARAMS = [(0.6, 100), (0.8, 120), (0.7, 128)]
 
-    def test_each_sampler_draws_its_own_rows(self):
+    def _group(self):
         samplers = [build_sampler(FgnParams(*p)) for p in self.PARAMS]
+        return fgn.SamplerGroup(tuple(samplers))
+
+    def test_each_sampler_draws_its_own_rows(self):
+        group = self._group()
         block = _parallel.BLOCK_BYTES // (16 * 128)
-        stops = (40, 5 + block + 3, 1 << 48)
-        group = fgn.SamplerGroup(tuple(samplers), stops)
-        for reps in (range(5, 5 + 2 * block), range(5 + 2 * block, 300)):
-            drawn = sample_fgn_block(group, 9, reps, fgn.STREAM_EXPERIMENT)
-            for sampler, stop, rows in zip(samplers, stops, drawn):
-                alone = sample_fgn_block(
-                    sampler, 9, [rep for rep in reps if rep < stop],
-                    stream=fgn.STREAM_EXPERIMENT,
-                )
-                assert rows.tobytes() == alone.tobytes()
+        # the replications cross a boundary between blocks of normals
+        reps = range(5, 5 + block + 3)
+        drawn = sample_fgn_block(group, 9, reps, fgn.STREAM_EXPERIMENT)
+        assert len(drawn) == len(group.samplers)
+        for sampler, rows in zip(group.samplers, drawn):
+            alone = sample_fgn_block(sampler, 9, reps,
+                                     stream=fgn.STREAM_EXPERIMENT)
+            assert rows.tobytes() == alone.tobytes()
+
+    def test_returned_blocks_outlive_the_next_draw(self):
+        group = self._group()
+        first = sample_fgn_block(group, 9, range(40), fgn.STREAM_EXPERIMENT)
+        kept = [rows.copy() for rows in first]
+        sample_fgn_block(group, 9, range(40, 80), fgn.STREAM_EXPERIMENT)
+        for rows, copy in zip(first, kept):
+            assert rows.tobytes() == copy.tobytes()
 
     def test_embedding_sizes_must_agree(self):
         samplers = (build_sampler(FgnParams(0.7, 128)),
                     build_sampler(FgnParams(0.7, 129)))
         with pytest.raises(ValueError, match=r"one embedding size"):
-            fgn.SamplerGroup(samplers, (10, 10))
+            fgn.SamplerGroup(samplers)
 
 
 class TestFbmGrid:

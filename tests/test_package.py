@@ -122,19 +122,25 @@ def test_bench_tracer_traces_workers_beside_a_cached_pool(tmp_path,
     tracing = _load_tracing()
     # a worker unpickles the tracer's chunk wrapper by its module's name
     monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
-    tasks = limitdist.chunk_tasks(1000, hurst=0.7, n=50,
-                                  window=sntest.TestWindow(), master_seed=0)
-    untraced = limitdist.simulate_cells([tasks])[0]
-    tracer = tracing.Tracer(tmp_path / "spool")
-    tracer.install()
-    try:
-        traced = limitdist.simulate_cells([tasks])[0]
-    finally:
-        tracer.uninstall()
-    assert traced.tobytes() == untraced.tobytes()
-    draws = [s for s in tracer.spans if s["name"] == "fgn.sample_fgn_block"]
-    assert sum(span["attrs"]["rows"] for span in draws) == 1000
-    assert {span["pid"] for span in draws}.isdisjoint({os.getpid()})
+    # two Hurst values of one M share each row's draw: 1,000 rows either way
+    for hursts in [(0.7,), (0.7, 0.8)]:
+        cells = [limitdist.chunk_tasks(1000, hurst=hurst, n=50,
+                                       window=sntest.TestWindow(),
+                                       master_seed=0)
+                 for hurst in hursts]
+        untraced = limitdist.simulate_cells(cells)
+        tracer = tracing.Tracer(tmp_path / f"spool{len(hursts)}")
+        tracer.install()
+        try:
+            traced = limitdist.simulate_cells(cells)
+        finally:
+            tracer.uninstall()
+        assert [cell.tobytes() for cell in traced] == [
+            cell.tobytes() for cell in untraced]
+        draws = [s for s in tracer.spans
+                 if s["name"] == "fgn.sample_fgn_block"]
+        assert sum(span["attrs"]["rows"] for span in draws) == 1000
+        assert {span["pid"] for span in draws}.isdisjoint({os.getpid()})
 
 
 def test_public_names_resolve_once():
