@@ -26,6 +26,7 @@ import numpy as np
 from . import _parallel
 from .fgn import (
     REPLICATION_LIMIT,
+    SEED_LIMIT,
     STREAM_LIMIT,
     FgnParams,
     SamplerGroup,
@@ -85,13 +86,24 @@ class CriticalValueTable:
     generator: str = GENERATOR_ID
 
     def critical_value(self, level):
+        """The table's value at ``level``, else ValueError.
+
+        A missing level raises, and so does a value <= 0: T_n >= 0, so
+        such a value would reject every series.
+        """
         try:
-            return self.quantiles[level]
+            value = self.quantiles[level]
         except KeyError:
             raise ValueError(
                 f"missing critical value for level {level}; "
                 f"table holds {sorted(self.quantiles)}"
             ) from None
+        if not value > 0:
+            raise ValueError(
+                f"critical-value table value for level {level} must be "
+                f"positive, got {value!r}"
+            )
+        return value
 
     def check_matches(self, hurst, window):
         """Raise ValueError unless the table is for this H and window."""
@@ -121,9 +133,18 @@ class CriticalValueTable:
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; a malformed payload raises ValueError."""
+        """Parse ``to_json`` output; a malformed payload raises ValueError.
+
+        Malformed means: not a JSON object, a required key missing, a
+        key repeated in one object, a non-numeric hurst or window,
+        ``reps`` or ``grid`` not an integer >= 0, ``seed`` not an
+        integer in [0, 2**63), a ``generator`` that is not a string, or
+        quantiles that are not finite numbers keyed by levels in (0, 1),
+        one key per level.  The values' signs are checked by
+        ``critical_value``.
+        """
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"critical-value table is not JSON: {exc}") from None
         if not isinstance(payload, dict):
@@ -142,6 +163,20 @@ class CriticalValueTable:
             raise ValueError(
                 f"critical-value table window must be two numbers, got {window!r}"
             )
+        for key, bound, rule in (("reps", math.inf, ">= 0"),
+                                 ("grid", math.inf, ">= 0"),
+                                 ("seed", SEED_LIMIT, "in [0, 2**63)")):
+            if not (type(payload[key]) is int and 0 <= payload[key] < bound):
+                raise ValueError(
+                    f"critical-value table {key} must be an integer {rule}, "
+                    f"got {payload[key]!r}"
+                )
+        generator = payload.get("generator", GENERATOR_ID)
+        if not isinstance(generator, str):
+            raise ValueError(
+                f"critical-value table generator must be a string, "
+                f"got {generator!r}"
+            )
         quantiles = payload["quantiles"]
         if not (isinstance(quantiles, dict) and quantiles and all(
             _is_level(lv) and _finite_number(q) for lv, q in quantiles.items()
@@ -150,15 +185,31 @@ class CriticalValueTable:
                 "critical-value table quantiles must map levels in (0, 1) to "
                 f"finite numbers, got {quantiles!r}"
             )
+        levels = {float(lv): q for lv, q in quantiles.items()}
+        if len(levels) < len(quantiles):
+            raise ValueError(
+                f"critical-value table quantiles name one level by two keys, "
+                f"got {sorted(quantiles)}"
+            )
         return cls(
             hurst=payload["hurst"],
             window=TestWindow(*window),
-            quantiles={float(lv): q for lv, q in quantiles.items()},
+            quantiles=levels,
             replications=payload["reps"],
             grid_size=payload["grid"],
             master_seed=payload["seed"],
-            generator=payload.get("generator", GENERATOR_ID),
+            generator=generator,
         )
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice raises ValueError."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"critical-value table repeats key {key!r}")
+        payload[key] = value
+    return payload
 
 
 def _finite_number(value):
@@ -217,7 +268,10 @@ def simulate_chunk(tasks):
     ``hi``.  Rows are drawn and scored in slabs that hold, over all
     samplers, no more series than the whole chunk of the longest n alone,
     so a group's memory does not grow with its number of Hurst values,
-    and a group of one sampler takes the chunk in one slab.  Each task
+    and a group of one sampler takes the chunk in one slab.  A slab's
+    list of blocks is never named, so it dies with its last sampler's
+    scoring: while the next slab is drawn, only that sampler's block of
+    the previous slab is still alive.  Each task
     scores the rows of its sampler's slab below its ``hi``; a shifted
     task scores a shifted copy of them, except its sampler's last task,
     which shifts the slab itself.  Every value is a pure function of its
@@ -234,9 +288,11 @@ def simulate_chunk(tasks):
     slab = max(1, (top - first.lo) * max(lengths) // sum(lengths))
     pieces = {task: [] for task in tasks}
     for lo in range(first.lo, top, slab):
-        blocks = sample_fgn_block(group, first.master_seed,
-                                  range(lo, min(lo + slab, top)), first.stream)
-        for block, own in zip(blocks, by_sampler.values()):
+        for block, own in zip(
+            sample_fgn_block(group, first.master_seed,
+                             range(lo, min(lo + slab, top)), first.stream),
+            by_sampler.values(),
+        ):
             for i, task in enumerate(own):
                 if task.hi <= lo:
                     continue

@@ -791,6 +791,27 @@ class TestTableMismatch:
         assert err.startswith("error: critical-value table")
         assert err.count("\n") == 1
 
+    def test_negative_critical_value_is_runtime_error(self, data_file, cv_file,
+                                                      tmp_path, capsys):
+        # T_n >= 0, so a -8.4 table would reject every series
+        payload = json.loads(cv_file.read_text())
+        payload["quantiles"]["0.05"] = -8.4
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.7",
+                "--cv", str(bad),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: critical-value table value for level 0.05 must be "
+            "positive, got -8.4\n"
+        )
+
 
 class TestConfigConversion:
     def test_string_number_is_converted(self, data_file, cv_file, tmp_path,

@@ -11,6 +11,7 @@ from lrdcp import (
     CriticalValueTable,
     LimitSimSpec,
     critical_values,
+    limitdist,
     simulate_limit_values,
     upper_quantile,
 )
@@ -132,6 +133,35 @@ class TestSharedNormals:
             alone = simulate_chunk((task,))[0]
             assert task_values.tobytes() == alone.tobytes()
 
+    def test_each_draw_starts_without_the_previous_slab(self, monkeypatch):
+        # one draw key, 16 H: 17 draws of 31-row slabs (about 0.8 MB
+        # each); a draw may start beside one sampler's block of the
+        # previous slab, not beside the whole slab
+        rows, n, count = 500, 200, 16
+        tasks = tuple(
+            SimChunk(hurst=0.55 + 0.025 * i, n=n, window=Window(),
+                     master_seed=3, lo=0, hi=rows)
+            for i in range(count)
+        )
+        slab = rows // count  # simulate_chunk's rule for one n
+        starts = []
+
+        def traced_draw(*args, **kwargs):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return sample_fgn_block(*args, **kwargs)
+
+        monkeypatch.setattr(limitdist, "sample_fgn_block", traced_draw)
+        simulate_chunk(tasks)  # FFT plans and other first-call state
+        starts.clear()
+        tracemalloc.start()
+        try:
+            simulate_chunk(tasks)
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == -(-rows // slab) == 17
+        excess = max(starts[1:]) - starts[0]
+        assert excess < slab * count * n * 8 / 2
+
 
 class TestUpperQuantile:
     def test_exact_order_statistics(self):
@@ -247,11 +277,23 @@ class TestTableValidation:
             (lambda p: {**p, "quantiles": {"0.05": None}}, "quantiles"),
             (lambda p: {**p, "quantiles": {"five": 8.4}}, "quantiles"),
             (lambda p: {**p, "quantiles": {"1.5": 8.4}}, "quantiles"),
+            (lambda p: {**p, "reps": "many"}, "reps"),
+            (lambda p: {**p, "reps": True}, "reps"),
+            (lambda p: {**p, "grid": -3}, "grid"),
+            (lambda p: {**p, "grid": 1000.0}, "grid"),
+            (lambda p: {**p, "seed": 1.5}, "seed"),
+            (lambda p: {**p, "seed": -1}, "seed"),
+            (lambda p: {**p, "seed": 1 << 63}, "seed"),
+            (lambda p: {**p, "generator": 7}, "generator"),
+            (lambda p: {**p, "quantiles": {"0.05": 8.4, "5e-2": 9.1}},
+             "one level by two keys"),
         ],
         ids=[
             "top-level-list", "missing-key", "string-hurst", "short-window",
             "string-window", "quantile-list", "no-quantiles", "null-quantile",
-            "word-level", "level-above-one",
+            "word-level", "level-above-one", "string-reps", "boolean-reps",
+            "negative-grid", "float-grid", "float-seed", "negative-seed",
+            "seed-above-range", "number-generator", "level-spelled-twice",
         ],
     )
     def test_malformed_payload_raises_value_error(self, change, message):
@@ -269,6 +311,21 @@ class TestTableValidation:
     def test_not_json(self):
         with pytest.raises(ValueError, match="not JSON"):
             CriticalValueTable.from_json("{not json")
+
+    def test_repeated_level_key_rejected(self):
+        text = json.dumps(self.table_payload()).replace(
+            '"0.05": ', '"0.05": -8.4, "0.05": ', 1)
+        with pytest.raises(ValueError, match="repeats key '0.05'"):
+            CriticalValueTable.from_json(text)
+
+    @pytest.mark.parametrize("value", [-8.4, 0.0, -0.0])
+    def test_non_positive_critical_value_rejected(self, value):
+        # T_n >= 0: such a value would reject every series
+        table = CriticalValueTable(hurst=0.7, window=Window(),
+                                   quantiles={0.05: value, 0.1: 7.0})
+        assert table.critical_value(0.1) == 7.0
+        with pytest.raises(ValueError, match="must be positive"):
+            table.critical_value(0.05)
 
 
 class TestSeedRange:
