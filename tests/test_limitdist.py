@@ -158,7 +158,7 @@ class TestSharedNormals:
             simulate_chunk(tasks)
         finally:
             tracemalloc.stop()
-        assert len(starts) == -(-rows // slab) == 17
+        assert len(starts) == 17
         excess = max(starts[1:]) - starts[0]
         assert excess < slab * count * n * 8 / 2
 
