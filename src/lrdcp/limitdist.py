@@ -89,7 +89,10 @@ class CriticalValueTable:
         """The table's value at ``level``, else ValueError.
 
         A missing level raises, and so does a value <= 0: T_n >= 0, so
-        such a value would reject every series.
+        such a value would reject every series.  So does a table whose
+        positive values ever rise as the level rises: upper quantiles of
+        one sample cannot fall as the level falls.  Equal values at two
+        levels pass.
         """
         try:
             value = self.quantiles[level]
@@ -102,6 +105,13 @@ class CriticalValueTable:
             raise ValueError(
                 f"critical-value table value for level {level} must be "
                 f"positive, got {value!r}"
+            )
+        by_level = sorted(self.quantiles.items())
+        positive = [q for _, q in by_level if q > 0]
+        if any(q_next > q for q, q_next in zip(positive, positive[1:])):
+            raise ValueError(
+                "critical-value table values must not fall as the level "
+                f"falls, got {dict(by_level)}"
             )
         return value
 
@@ -136,12 +146,12 @@ class CriticalValueTable:
         """Parse ``to_json`` output; a malformed payload raises ValueError.
 
         Malformed means: not a JSON object, a required key missing, a
-        key repeated in one object, a non-numeric hurst or window,
-        ``reps`` or ``grid`` not an integer >= 0, ``seed`` not an
-        integer in [0, 2**63), a ``generator`` that is not a string, or
-        quantiles that are not finite numbers keyed by levels in (0, 1),
-        one key per level.  The values' signs are checked by
-        ``critical_value``.
+        key repeated in one object, a non-numeric hurst or window, a
+        window outside 0 < tau1 < tau2 < 1, ``reps`` or ``grid`` not an
+        integer >= 0, ``seed`` not an integer in [0, 2**63), a
+        ``generator`` that is not a string, or quantiles that are not
+        finite numbers keyed by levels in (0, 1), one key per level.
+        The values' signs and order are checked by ``critical_value``.
         """
         try:
             payload = json.loads(text, object_pairs_hook=_unique_keys)
@@ -163,6 +173,10 @@ class CriticalValueTable:
             raise ValueError(
                 f"critical-value table window must be two numbers, got {window!r}"
             )
+        try:
+            window = TestWindow(*window)
+        except ValueError as exc:
+            raise ValueError(f"critical-value table {exc}") from None
         for key, bound, rule in (("reps", math.inf, ">= 0"),
                                  ("grid", math.inf, ">= 0"),
                                  ("seed", SEED_LIMIT, "in [0, 2**63)")):
@@ -193,7 +207,7 @@ class CriticalValueTable:
             )
         return cls(
             hurst=payload["hurst"],
-            window=TestWindow(*window),
+            window=window,
             quantiles=levels,
             replications=payload["reps"],
             grid_size=payload["grid"],

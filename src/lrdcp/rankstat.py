@@ -83,9 +83,8 @@ def _midranks(values):
     A block where two keys of a row share their high bits (a tie or a
     near-tie) is ranked by the exact rule, reusing the key order.  Tied
     values already sit in sorted order there; only distinct near-ties
-    can be out of order, and then one argsort of the block puts them in
-    order: stable, which is adaptive, when fewer than 1 in 32 neighbours
-    are out of order, else quicksort.  A run of c equal values from
+    can be out of order, and then one argsort of the block, of NumPy's
+    default kind, puts them in order.  A run of c equal values from
     0-based sorted position p on then gets the midrank p + (c + 1) / 2.
     Midranks are integers or half-integers, hence exact.  Values must be
     NaN-free.
@@ -116,16 +115,9 @@ def _midranks(values):
         ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
         return ranks.reshape(shape), np.zeros(shape[:-1], dtype=bool)
     ordered = rows.reshape(-1)[flat]
-    disorder = np.count_nonzero(same[:-1] & (ordered[1:] < ordered[:-1]))
-    if disorder:
-        # equal values share one midrank in any order, so any sort kind
-        # serves: the adaptive stable sort when few neighbours are out of
-        # order (there 3-6x faster than quicksort), quicksort (about 5x
-        # faster on scrambled rows) otherwise; where rows are scrambled in
-        # spread-out places the two kinds cross between 1 in 50 and 1 in 20
-        # neighbours out of order
-        kind = "stable" if 32 * disorder < len(flat) else "quicksort"
-        fix = np.argsort(ordered.reshape(rows.shape), axis=-1, kind=kind)
+    if (same[:-1] & (ordered[1:] < ordered[:-1])).any():
+        # equal values share one midrank in any order, so any sort kind serves
+        fix = np.argsort(ordered.reshape(rows.shape), axis=-1)
         fix += offsets[:, np.newaxis]
         fix = fix.reshape(-1)
         flat = flat[fix]

@@ -812,6 +812,28 @@ class TestTableMismatch:
             "positive, got -8.4\n"
         )
 
+    def test_disordered_table_is_runtime_error(self, data_file, cv_file,
+                                               tmp_path, capsys):
+        # a 0.01 value below the 0.1 and 0.05 ones: the seed-5 series
+        # (T about 5.19) would be rejected at 1% but not at 10%
+        payload = json.loads(cv_file.read_text())
+        payload["quantiles"] = {"0.1": 7.0, "0.05": 8.4, "0.01": 0.5}
+        bad = tmp_path / "disordered.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.7",
+                "--level", "0.01", "--cv", str(bad),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: critical-value table values must not fall"
+        )
+        assert captured.err.count("\n") == 1
+
 
 class TestConfigConversion:
     def test_string_number_is_converted(self, data_file, cv_file, tmp_path,

@@ -287,6 +287,8 @@ class TestTableValidation:
             (lambda p: {**p, "generator": 7}, "generator"),
             (lambda p: {**p, "quantiles": {"0.05": 8.4, "5e-2": 9.1}},
              "one level by two keys"),
+            (lambda p: {**p, "window": [0.85, 0.15]},
+             "critical-value table window"),
         ],
         ids=[
             "top-level-list", "missing-key", "string-hurst", "short-window",
@@ -294,6 +296,7 @@ class TestTableValidation:
             "word-level", "level-above-one", "string-reps", "boolean-reps",
             "negative-grid", "float-grid", "float-seed", "negative-seed",
             "seed-above-range", "number-generator", "level-spelled-twice",
+            "reversed-window",
         ],
     )
     def test_malformed_payload_raises_value_error(self, change, message):
@@ -326,6 +329,18 @@ class TestTableValidation:
         assert table.critical_value(0.1) == 7.0
         with pytest.raises(ValueError, match="must be positive"):
             table.critical_value(0.05)
+
+    @pytest.mark.parametrize("level", [0.1, 0.05, 0.01])
+    def test_values_rising_with_level_rejected(self, level):
+        # upper quantiles of one sample cannot fall as the level falls;
+        # a 0.5 at 0.01 would reject most null series there
+        table = CriticalValueTable(hurst=0.7, window=Window(),
+                                   quantiles={0.1: 7.0, 0.05: 8.4, 0.01: 0.5})
+        with pytest.raises(ValueError, match=(
+            r"^critical-value table values must not fall as the level falls, "
+            r"got \{0.01: 0.5, 0.05: 8.4, 0.1: 7.0\}$"
+        )):
+            table.critical_value(level)
 
 
 class TestSeedRange:

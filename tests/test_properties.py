@@ -277,6 +277,26 @@ class TestTableProperties:
         assert parsed == table
         assert parsed.to_json() == text
 
+    @settings(PROPERTY, max_examples=50)
+    @given(
+        arrays(np.float64, st.integers(100, 400), elements=st.one_of(
+            st.integers(1, 4).map(float),
+            st.floats(0.0, 1e300, exclude_min=True),
+        )),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 min_size=1, max_size=4, unique=True),
+    )
+    def test_simulated_table_passes_lookup(self, values, levels):
+        # upper quantiles of one sample never rise with the level, so the
+        # lookup's order check never rejects a table built from a sample
+        spec = limitdist.LimitSimSpec(0.7, replications=len(values),
+                                      levels=levels)
+        table = limitdist.critical_value_table(spec, values)
+        ordered = np.sort(values)
+        for level in levels:
+            assert table.critical_value(level) == limitdist.upper_quantile(
+                ordered, level)
+
 
 COMMENTS = st.tuples(
     st.sampled_from(["", " ", "\t"]),

@@ -130,7 +130,7 @@ class TestRankdata:
     @pytest.mark.parametrize("n", [1000, 20_000])
     def test_nearly_sorted_near_ties_match_scipy(self, n):
         # one swapped pair among near-ties: the block is fixed up by the
-        # stable sort, scrambled rows (above) by quicksort
+        # same default-kind argsort as the scrambled rows (above)
         near = 1.0 + np.arange(n) * 2.0**-52
         near[-1] = near[0]
         near[[1, 2]] = near[[2, 1]]
