@@ -29,7 +29,12 @@ import sys
 
 import numpy as np
 
-from .limitdist import CriticalValueTable, LimitSimSpec, critical_values
+from .limitdist import (
+    CriticalValueTable,
+    LimitSimSpec,
+    _unique_keys,
+    critical_values,
+)
 from .montecarlo import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -50,6 +55,18 @@ _KIND_ALIASES = {
 }
 
 
+def _read_text(path):
+    """A user file's text: UTF-8, a leading byte-order mark dropped.
+
+    A byte that is not UTF-8 raises ValueError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
@@ -59,8 +76,7 @@ def read_series(path):
     that pass, takes the per-line path: strip, drop blanks and comments,
     parse, and only if that fails look for the first bad line.
     """
-    with open(path) as handle:
-        text = handle.read()
+    text = _read_text(path)
     lines = text.removesuffix("\n").split("\n")
     plain = "#" not in text and all(lines)  # no comment, no empty line
     del text
@@ -140,8 +156,7 @@ def _limit_spec(parser, args, **kwargs):
 def _load_cv(args, spec):
     """Critical values from --cv file, else simulated from ``spec``."""
     if args.cv:
-        with open(args.cv) as handle:
-            table = CriticalValueTable.from_json(handle.read())
+        table = CriticalValueTable.from_json(_read_text(args.cv))
         table.check_matches(spec.hurst, spec.window)
         return table, "file"
     return critical_values(spec), "simulated"
@@ -356,19 +371,21 @@ def _options(sub):
 def _apply_config(parser, args, argv):
     """Re-parse ``argv`` with the --config values as subcommand defaults.
 
-    Every key must name an option of some subcommand, and every non-null
-    value must be a JSON string or number.  Each value for an option of
-    this subcommand is parsed as its flag's command-line text; argparse
-    then keeps a typed flag over it.  Options of other subcommands are
+    The file must hold one JSON object, no key given twice.  Every key
+    must name an option of some subcommand, and every non-null value must
+    be a JSON string or number.  Each value for an option of this
+    subcommand is parsed as its flag's command-line text; argparse then
+    keeps a typed flag over it.  Options of other subcommands are
     ignored, so one file can serve several subcommands.
     """
     if not args.config:
         return args
-    with open(args.config) as handle:
-        try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad config {args.config}: {exc}") from None
+    text = _read_text(args.config)
+    try:
+        config = json.loads(
+            text, object_pairs_hook=_unique_keys(f"bad config {args.config}:"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad config {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"bad config {args.config}: expected a JSON object")
     known = set().union(*map(_options, parser._command_parsers.values()))
@@ -414,7 +431,7 @@ def main(argv=None):
         if args.seed is None:
             args.seed = secrets.randbits(63)
         return args.handler(parser, args)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

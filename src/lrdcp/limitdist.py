@@ -19,6 +19,7 @@ rank ceil((1 - level) * R), no interpolation.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,12 @@ class LimitSimSpec:
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Simulated quantiles of the limit statistic for one Hurst value."""
+    """Simulated quantiles of the limit statistic for one Hurst value.
+
+    Checked when made (ValueError): fields of the types ``to_json``
+    writes, and quantile values > 0 (T_n >= 0) that never rise as the
+    level rises (equal values pass), so a lookup only reads.
+    """
 
     hurst: float
     window: TestWindow
@@ -85,35 +91,59 @@ class CriticalValueTable:
     master_seed: int = 0
     generator: str = GENERATOR_ID
 
-    def critical_value(self, level):
-        """The table's value at ``level``, else ValueError.
+    def __post_init__(self):
+        if not _finite_number(self.hurst):
+            raise ValueError(
+                f"critical-value table hurst must be a number, "
+                f"got {self.hurst!r}"
+            )
+        for key, value, bound, rule in (
+            ("reps", self.replications, math.inf, ">= 0"),
+            ("grid", self.grid_size, math.inf, ">= 0"),
+            ("seed", self.master_seed, SEED_LIMIT, "in [0, 2**63)"),
+        ):
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and 0 <= value < bound):
+                raise ValueError(
+                    f"critical-value table {key} must be an integer {rule}, "
+                    f"got {value!r}"
+                )
+        if not isinstance(self.generator, str):
+            raise ValueError(
+                f"critical-value table generator must be a string, "
+                f"got {self.generator!r}"
+            )
+        quantiles = self.quantiles
+        if not (isinstance(quantiles, dict) and quantiles and all(
+            _finite_number(lv) and 0.0 < lv < 1.0 and _finite_number(q)
+            for lv, q in quantiles.items()
+        )):
+            raise ValueError(
+                "critical-value table quantiles must map levels in (0, 1) to "
+                f"finite numbers, got {quantiles!r}"
+            )
+        by_level = sorted(quantiles.items())
+        for level, value in by_level:
+            if not value > 0:
+                raise ValueError(
+                    f"critical-value table value for level {level} must be "
+                    f"positive, got {value!r}"
+                )
+        if any(b > a for (_, a), (_, b) in zip(by_level, by_level[1:])):
+            raise ValueError(
+                "critical-value table values must not fall as the level "
+                f"falls, got {dict(by_level)}"
+            )
 
-        A missing level raises, and so does a value <= 0: T_n >= 0, so
-        such a value would reject every series.  So does a table whose
-        positive values ever rise as the level rises: upper quantiles of
-        one sample cannot fall as the level falls.  Equal values at two
-        levels pass.
-        """
+    def critical_value(self, level):
+        """The table's value at ``level``; a missing level raises ValueError."""
         try:
-            value = self.quantiles[level]
+            return self.quantiles[level]
         except KeyError:
             raise ValueError(
                 f"missing critical value for level {level}; "
                 f"table holds {sorted(self.quantiles)}"
             ) from None
-        if not value > 0:
-            raise ValueError(
-                f"critical-value table value for level {level} must be "
-                f"positive, got {value!r}"
-            )
-        by_level = sorted(self.quantiles.items())
-        positive = [q for _, q in by_level if q > 0]
-        if any(q_next > q for q, q_next in zip(positive, positive[1:])):
-            raise ValueError(
-                "critical-value table values must not fall as the level "
-                f"falls, got {dict(by_level)}"
-            )
-        return value
 
     def check_matches(self, hurst, window):
         """Raise ValueError unless the table is for this H and window."""
@@ -145,16 +175,13 @@ class CriticalValueTable:
     def from_json(cls, text):
         """Parse ``to_json`` output; a malformed payload raises ValueError.
 
-        Malformed means: not a JSON object, a required key missing, a
-        key repeated in one object, a non-numeric hurst or window, a
-        window outside 0 < tau1 < tau2 < 1, ``reps`` or ``grid`` not an
-        integer >= 0, ``seed`` not an integer in [0, 2**63), a
-        ``generator`` that is not a string, or quantiles that are not
-        finite numbers keyed by levels in (0, 1), one key per level.
-        The values' signs and order are checked by ``critical_value``.
+        Here: JSON with no key repeated in one object, an object with every
+        required key, a valid window of two numbers, and quantile keys that
+        read as numbers, one key per level.  The class checks the rest.
         """
         try:
-            payload = json.loads(text, object_pairs_hook=_unique_keys)
+            payload = json.loads(
+                text, object_pairs_hook=_unique_keys("critical-value table"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"critical-value table is not JSON: {exc}") from None
         if not isinstance(payload, dict):
@@ -162,11 +189,6 @@ class CriticalValueTable:
         for key in ("hurst", "window", "quantiles", "reps", "grid", "seed"):
             if key not in payload:
                 raise ValueError(f"critical-value table lacks key {key!r}")
-        if not _finite_number(payload["hurst"]):
-            raise ValueError(
-                f"critical-value table hurst must be a number, "
-                f"got {payload['hurst']!r}"
-            )
         window = payload["window"]
         if not (isinstance(window, list) and len(window) == 2
                 and all(map(_finite_number, window))):
@@ -177,34 +199,17 @@ class CriticalValueTable:
             window = TestWindow(*window)
         except ValueError as exc:
             raise ValueError(f"critical-value table {exc}") from None
-        for key, bound, rule in (("reps", math.inf, ">= 0"),
-                                 ("grid", math.inf, ">= 0"),
-                                 ("seed", SEED_LIMIT, "in [0, 2**63)")):
-            if not (type(payload[key]) is int and 0 <= payload[key] < bound):
-                raise ValueError(
-                    f"critical-value table {key} must be an integer {rule}, "
-                    f"got {payload[key]!r}"
-                )
-        generator = payload.get("generator", GENERATOR_ID)
-        if not isinstance(generator, str):
-            raise ValueError(
-                f"critical-value table generator must be a string, "
-                f"got {generator!r}"
-            )
         quantiles = payload["quantiles"]
-        if not (isinstance(quantiles, dict) and quantiles and all(
-            _is_level(lv) and _finite_number(q) for lv, q in quantiles.items()
-        )):
-            raise ValueError(
-                "critical-value table quantiles must map levels in (0, 1) to "
-                f"finite numbers, got {quantiles!r}"
-            )
-        levels = {float(lv): q for lv, q in quantiles.items()}
-        if len(levels) < len(quantiles):
-            raise ValueError(
-                f"critical-value table quantiles name one level by two keys, "
-                f"got {sorted(quantiles)}"
-            )
+        try:
+            levels = {float(lv): q for lv, q in quantiles.items()}
+        except (AttributeError, ValueError):
+            levels = quantiles  # not a map of levels: the class says so
+        else:
+            if len(levels) < len(quantiles):
+                raise ValueError(
+                    f"critical-value table quantiles name one level by two "
+                    f"keys, got {sorted(quantiles)}"
+                )
         return cls(
             hurst=payload["hurst"],
             window=window,
@@ -212,33 +217,28 @@ class CriticalValueTable:
             replications=payload["reps"],
             grid_size=payload["grid"],
             master_seed=payload["seed"],
-            generator=generator,
+            generator=payload.get("generator", GENERATOR_ID),
         )
 
 
-def _unique_keys(pairs):
-    """A JSON object's dict; a key given twice raises ValueError."""
-    payload = {}
-    for key, value in pairs:
-        if key in payload:
-            raise ValueError(f"critical-value table repeats key {key!r}")
-        payload[key] = value
-    return payload
+def _unique_keys(name):
+    """A JSON object_pairs_hook: ``{name} repeats key 'KEY'`` on a repeat."""
+    def hook(pairs):
+        payload = {}
+        for key, value in pairs:
+            if key in payload:
+                raise ValueError(f"{name} repeats key {key!r}")
+            payload[key] = value
+        return payload
+    return hook
 
 
 def _finite_number(value):
     return (
-        isinstance(value, (int, float))
+        isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
-
-
-def _is_level(key):
-    try:
-        return 0.0 < float(key) < 1.0
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True)

@@ -812,6 +812,27 @@ class TestTableMismatch:
             "positive, got -8.4\n"
         )
 
+    def test_bad_value_refuses_table_at_any_level(self, data_file, cv_file,
+                                                  tmp_path, capsys):
+        # the table itself is refused, not only the level it is asked for
+        payload = json.loads(cv_file.read_text())
+        payload["quantiles"]["0.05"] = -8.4
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            [
+                "test", "--input", str(data_file), "--hurst", "0.7",
+                "--level", "0.1", "--cv", str(bad),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: critical-value table value for level 0.05 must be "
+            "positive, got -8.4\n"
+        )
+
     def test_disordered_table_is_runtime_error(self, data_file, cv_file,
                                                tmp_path, capsys):
         # a 0.01 value below the 0.1 and 0.05 ones: the seed-5 series
@@ -924,6 +945,21 @@ class TestConfigChecks:
             f"error: bad config {cfg}: expected a JSON object\n"
         )
 
+    def test_repeated_key_is_runtime_error(self, data_file, tmp_path, capsys):
+        # json.load would keep the last value and test at level 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"level": 0.05, "level": 0.5}')
+        code = main(
+            [
+                "--config", str(cfg), "test", "--input", str(data_file),
+                "--hurst", "0.7", "--seed", "1",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad config {cfg}: repeats key 'level'\n"
+
     def test_bad_value_fails_when_its_flag_is_typed(self, data_file, cv_file,
                                                     tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1006,6 +1042,64 @@ class TestConfigChecks:
                      "--hurst", "0.7", "--cv", str(cv_file)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["level"] == 0.1
+
+
+class TestAllocationFailure:
+    # 2**56 float64 values exceed any 64-bit address space, so NumPy
+    # refuses the first array at once and touches no memory
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate-fgn", "--hurst", "0.7", "--length", str(2**56)],
+            ["critical-values", "--hurst", "0.7", "--grid", str(2**56),
+             "--reps", "1000"],
+        ],
+        ids=["generate-fgn", "critical-values-in-a-worker"],
+    )
+    def test_memory_error_is_one_line(self, argv, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.setenv("LRD_CP_THREADS", "2")
+        out = tmp_path / "out.txt"
+        code = main([*argv, "--seed", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestTextFiles:
+    @pytest.mark.parametrize("flag", ["--input", "--cv", "--config"])
+    def test_bom_accepted_and_bad_byte_names_file(self, flag, data_file,
+                                                  cv_file, tmp_path, capsys):
+        files = {"--input": data_file, "--cv": cv_file}
+        files["--config"] = tmp_path / "cfg.json"
+        files["--config"].write_text('{"level": 0.1}')
+
+        def run(path):
+            argv = {**files, flag: path}
+            return main(
+                [
+                    "--config", str(argv["--config"]), "test",
+                    "--input", str(argv["--input"]), "--hurst", "0.7",
+                    "--cv", str(argv["--cv"]),
+                ]
+            )
+
+        raw = files[flag].read_bytes()
+        bom = tmp_path / "bom"
+        bom.write_bytes(b"\xef\xbb\xbf" + raw)
+        assert run(bom) == 0
+        assert json.loads(capsys.readouterr().out)["level"] == 0.1
+
+        bad = tmp_path / "bad"
+        bad.write_bytes(raw[:5] + b"\xe9" + raw[5:])
+        assert run(bad) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad} is not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReproduceTables:

@@ -324,23 +324,31 @@ class TestTableValidation:
     @pytest.mark.parametrize("value", [-8.4, 0.0, -0.0])
     def test_non_positive_critical_value_rejected(self, value):
         # T_n >= 0: such a value would reject every series
-        table = CriticalValueTable(hurst=0.7, window=Window(),
-                                   quantiles={0.05: value, 0.1: 7.0})
-        assert table.critical_value(0.1) == 7.0
         with pytest.raises(ValueError, match="must be positive"):
-            table.critical_value(0.05)
+            CriticalValueTable(hurst=0.7, window=Window(),
+                               quantiles={0.05: value, 0.1: 7.0})
 
     @pytest.mark.parametrize("level", [0.1, 0.05, 0.01])
     def test_values_rising_with_level_rejected(self, level):
         # upper quantiles of one sample cannot fall as the level falls;
         # a 0.5 at 0.01 would reject most null series there
-        table = CriticalValueTable(hurst=0.7, window=Window(),
-                                   quantiles={0.1: 7.0, 0.05: 8.4, 0.01: 0.5})
         with pytest.raises(ValueError, match=(
             r"^critical-value table values must not fall as the level falls, "
             r"got \{0.01: 0.5, 0.05: 8.4, 0.1: 7.0\}$"
         )):
-            table.critical_value(level)
+            CriticalValueTable(
+                hurst=0.7, window=Window(),
+                quantiles={0.1: 7.0, 0.05: 8.4, 0.01: 0.5},
+            ).critical_value(level)
+
+    def test_table_takes_numpy_integer_spec(self):
+        # a spec whose counts are numpy integers makes a valid table
+        spec = LimitSimSpec(0.7, replications=np.int64(200),
+                            master_seed=np.int64(9))
+        values = np.linspace(1.0, 3.0, 200)
+        table = limitdist.critical_value_table(spec, values)
+        assert table.replications == 200 and table.master_seed == 9
+        assert table.critical_value(0.05) == upper_quantile(values, 0.05)
 
 
 class TestSeedRange:
