@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import secrets
 import shutil
 import sys
@@ -70,26 +71,39 @@ def _read_text(path):
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
-    A plain file, with no '#' and no empty line, takes one float pass over
-    its raw lines: float() strips the whitespace around a number itself,
-    so it needs no other work.  Any other file, and a plain one that fails
-    that pass, takes the per-line path: strip, drop blanks and comments,
-    parse, and only if that fails look for the first bad line.
+    A regular file with no '#' and some non-blank text is parsed by
+    NumPy's C reader, which converts each field as float() does, and is
+    taken if it reads as one finite value per line.  Any other input
+    (a pipe, a file with comments, or one that reader refuses or reads
+    to another shape) takes the per-line path: strip, drop blanks and
+    comments, parse, and only if that fails look for the first bad line.
     """
     text = _read_text(path)
-    lines = text.removesuffix("\n").split("\n")
-    plain = "#" not in text and all(lines)  # no comment, no empty line
+    blank = not text or text.isspace()  # NumPy's reader warns on these
+    if "#" not in text and not blank and os.path.isfile(path):
+        values = _load(path)
+        if values is not None:
+            return TimeSeries(values)
+    lines = list(map(str.strip, text.split("\n")))
     del text
-    values = _parse(lines) if plain else None
+    data = [line for line in lines if line and line[0] != "#"]
+    if not data:
+        raise ValueError(f"no data in {path}")
+    values = _parse(data)
     if values is None:
-        lines = list(map(str.strip, lines))
-        data = [line for line in lines if line and line[0] != "#"]
-        if not data:
-            raise ValueError(f"no data in {path}")
-        values = _parse(data)
-        if values is None:
-            _raise_first_bad_line(path, lines)
+        _raise_first_bad_line(path, lines)
     return TimeSeries(values)
+
+
+def _load(path):
+    """The file as one finite float64 per line, or None if it is not."""
+    try:
+        values = np.loadtxt(path, comments=None, ndmin=2, encoding="utf-8-sig")
+    except ValueError:
+        return None
+    if values.shape[0] < 1 or values.shape[1] != 1:
+        return None
+    return values[:, 0] if np.isfinite(values).all() else None
 
 
 def _parse(lines):

@@ -160,14 +160,16 @@ class CriticalValueTable:
             )
 
     def to_json(self):
+        # numpy scalars pass the checks but not json.dumps
         payload = {
-            "hurst": self.hurst,
-            "window": [self.window.tau1, self.window.tau2],
-            "grid": self.grid_size,
-            "reps": self.replications,
-            "seed": self.master_seed,
+            "hurst": float(self.hurst),
+            "window": [float(self.window.tau1), float(self.window.tau2)],
+            "grid": int(self.grid_size),
+            "reps": int(self.replications),
+            "seed": int(self.master_seed),
             "generator": self.generator,
-            "quantiles": {repr(float(lv)): q for lv, q in self.quantiles.items()},
+            "quantiles": {repr(float(lv)): float(q)
+                          for lv, q in self.quantiles.items()},
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -1,4 +1,5 @@
-"""Direct O(n^2) oracle for G_n(k) and the kernel values it is checked against."""
+"""Direct O(n^2) oracle for G_n(k) and the kernel values it is checked
+against, and the per-line reference for the CLI's series reader."""
 
 import math
 
@@ -55,3 +56,33 @@ def kernel_gn(series, k_lo=1, k_hi=None):
     d = build_profile(series).d[np.newaxis]
     gn, _ = _gn_matrix(d, n, k_lo, n - 1 if k_hi is None else k_hi)
     return gn[0]
+
+
+def read_series_oracle(path):
+    """The values of a series file, read one line at a time.
+
+    The reference for ``cli.read_series``: UTF-8 with an optional
+    byte-order mark; each line stripped; blank and '#' lines skipped;
+    every other line one finite float() or the error that names it.
+    """
+    with open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(
+                f"parse error at line {lineno} of {path}: {line!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"non-finite value at line {lineno} of {path}: {line!r}"
+            )
+        values.append(value)
+    if not values:
+        raise ValueError(f"no data in {path}")
+    return np.array(values, dtype=np.float64)

@@ -6,7 +6,10 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,22 +146,74 @@ class TestReadSeries:
             f"parse error at line 1 of {path}: '1.5 2.5'"
         )
 
-    @pytest.mark.parametrize("tail", ["", "\n", "# end\n", "\n# end\n"])
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n", "# end\n",
+                                      "\n# end\n"])
     def test_one_parse_pass_whatever_the_tail(self, tail, monkeypatch,
                                               tmp_path):
-        # a trailing blank or comment line sends the file to the per-line
-        # path at once, not after a float pass over every line before it
+        # a file without '#' is parsed once, by NumPy's reader; a '#'
+        # sends it to the per-line path at once, with no pass before it
         calls = []
-        parse = cli._parse
 
-        def counting(lines):
-            calls.append(len(lines))
-            return parse(lines)
+        def counting(name, parse):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return parse(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "_parse", counting)
+        monkeypatch.setattr(cli, "_parse", counting("_parse", cli._parse))
+        monkeypatch.setattr(np, "loadtxt", counting("loadtxt", np.loadtxt))
         path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5\n" + tail)
         assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
-        assert calls == [4]
+        assert calls == ["_parse" if "#" in tail else "loadtxt"]
+
+    @pytest.mark.parametrize("text", ["1.5 2.5\n", "1.5 2.5\n3.5 4.5\n" * 2])
+    def test_two_values_on_every_line_is_parse_error(self, text, tmp_path):
+        # NumPy's reader takes these as one row or rows of two columns
+        path = self._file(tmp_path, text)
+        assert self._error(path) == (
+            f"parse error at line 1 of {path}: '1.5 2.5'"
+        )
+
+    @pytest.mark.parametrize("text", ["", " \t\n\n", "\r\n\u3000\r\n"])
+    def test_blank_file_is_no_data_and_nothing_else(self, text, tmp_path,
+                                                    cv_file, capsys):
+        # NumPy's reader warns on a file with no data, so none reaches it
+        path = self._file(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["test", "--input", str(path), "--hurst", "0.7",
+                         "--cv", str(cv_file)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no data in {path}\n"
+
+    @staticmethod
+    def _test_stdin(cv_file, **kwargs):
+        """``lrdcp test --input /dev/stdin`` in a fresh interpreter."""
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "lrdcp.cli", "test", "--input",
+             "/dev/stdin", "--hurst", "0.7", "--cv", str(cv_file)],
+            env=env, capture_output=True, text=True, timeout=60, **kwargs,
+        )
+
+    def test_stdin_from_file_or_pipe(self, data_file, cv_file, capsys):
+        assert main(["test", "--input", str(data_file), "--hurst", "0.7",
+                     "--cv", str(cv_file)]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        with open(data_file) as handle:
+            done = self._test_stdin(cv_file, stdin=handle)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected
+
+        done = self._test_stdin(cv_file, input="1.0\n2.0\n3.0\nabc\n5.0\n")
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: parse error at line 4 of /dev/stdin: 'abc'\n"
+        )
 
     def test_last_line_without_newline(self, tmp_path):
         path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5")

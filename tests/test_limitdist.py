@@ -349,6 +349,21 @@ class TestTableValidation:
         table = limitdist.critical_value_table(spec, values)
         assert table.replications == 200 and table.master_seed == 9
         assert table.critical_value(0.05) == upper_quantile(values, 0.05)
+        assert CriticalValueTable.from_json(table.to_json()) == table
+
+    def test_table_of_numpy_floats_writes_json(self):
+        table = CriticalValueTable(
+            hurst=np.float32(0.7),
+            window=Window(np.float32(0.2), np.float64(0.8)),
+            quantiles={np.float64(0.05): np.float32(8.4)},
+            replications=np.int32(200),
+            grid_size=np.uint16(100),
+            master_seed=np.int64(9),
+        )
+        payload = json.loads(table.to_json())
+        assert payload["hurst"] == float(np.float32(0.7))
+        assert payload["quantiles"] == {"0.05": float(np.float32(8.4))}
+        assert CriticalValueTable.from_json(table.to_json()) == table
 
 
 class TestSeedRange:

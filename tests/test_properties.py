@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from _oracle import naive_gn_oracle
+from _oracle import naive_gn_oracle, read_series_oracle
 from lrdcp import _parallel, cli, limitdist, sntest
 from lrdcp.fgn import FgnParams, build_sampler, sample_fgn_block
 from lrdcp.rankstat import TimeSeries, _midranks, rankdata
@@ -326,6 +326,44 @@ def series_files(draw):
     return values, ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+# whitespace to str.strip(), some of it not to NumPy's reader
+BLANKS = st.sampled_from(["", " ", "\t", " \t ", "\u00a0", "\u3000", "\x0b",
+                          "\x0c", "\x1c", "\x85"])
+VALUE_TOKENS = st.one_of(FINITE.map(repr), FINITE.map(lambda x: "%.17g" % x))
+# tokens only float() takes, edge values, and tokens the reader refuses
+TWO_FIELDS = st.sampled_from(["1 .5", "1.5 2.5"])
+ODD_TOKENS = st.one_of(TWO_FIELDS, st.sampled_from([
+    "1_000", "\u0661.5", "+1e3", "-0.0", "5e-324", "nan", "-inf", "1e400",
+    "0x10", "abc",
+]))
+
+
+@st.composite
+def reader_files(draw):
+    """A file text of padded values, one per line, and perhaps odd tokens.
+
+    ``repr`` or ``%.17g`` values between drawn blank and whitespace-only
+    lines and, in half the files, comments; up to two values, or all of
+    them, swapped for an odd token; one drawn line ending and an optional
+    final one.
+    """
+    filler = st.one_of(BLANKS, COMMENTS) if draw(st.booleans()) else BLANKS
+    extra = st.lists(filler, max_size=2)
+    tokens = draw(st.lists(VALUE_TOKENS, max_size=30))
+    swaps = draw(st.integers(0, 3)) if tokens else 0
+    if swaps == 3:  # every value, so each line has the token's shape
+        tokens = [draw(ODD_TOKENS)] * len(tokens)
+    for _ in range(swaps % 3):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(ODD_TOKENS)
+    lines = []
+    for token in tokens:
+        lines += draw(extra)
+        lines.append(draw(BLANKS) + token + draw(BLANKS))
+    lines += draw(extra)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
 @pytest.fixture(scope="module")
 def series_path(tmp_path_factory):
     return tmp_path_factory.mktemp("series") / "series.txt"
@@ -339,6 +377,20 @@ class TestReaderProperties:
         series_path.write_bytes(text.encode())
         assert (cli.read_series(series_path).values.tobytes()
                 == np.array(values).tobytes())
+
+    @settings(PROPERTY, max_examples=150)
+    @given(reader_files())
+    def test_read_series_matches_per_line_oracle(self, series_path, text):
+        series_path.write_bytes(text.encode())
+
+        def outcome(read):
+            try:
+                return TimeSeries(read(series_path)).values.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(lambda path: cli.read_series(path).values) == (
+            outcome(read_series_oracle))
 
 
 # the required flags of each subcommand, typed in every parse below
