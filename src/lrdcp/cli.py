@@ -71,12 +71,10 @@ def _read_text(path):
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
-    A regular file with no '#' and some non-blank text is parsed by
-    NumPy's C reader, which converts each field as float() does, and is
-    taken if it reads as one finite value per line.  Any other input
-    (a pipe, a file with comments, or one that reader refuses or reads
-    to another shape) takes the per-line path: strip, drop blanks and
-    comments, parse, and only if that fails look for the first bad line.
+    A plain regular file (no '#', some non-blank text) goes to NumPy's C
+    reader, which converts each field as float() does, and is taken if it
+    reads as one finite value per line.  Everything else takes one
+    per-line pass, ``_parse_lines``, that names the first bad line.
     """
     text = _read_text(path)
     blank = not text or text.isspace()  # NumPy's reader warns on these
@@ -84,15 +82,7 @@ def read_series(path):
         values = _load(path)
         if values is not None:
             return TimeSeries(values)
-    lines = list(map(str.strip, text.split("\n")))
-    del text
-    data = [line for line in lines if line and line[0] != "#"]
-    if not data:
-        raise ValueError(f"no data in {path}")
-    values = _parse(data)
-    if values is None:
-        _raise_first_bad_line(path, lines)
-    return TimeSeries(values)
+    return TimeSeries(_parse_lines(path, text))
 
 
 def _load(path):
@@ -106,18 +96,16 @@ def _load(path):
     return values[:, 0] if np.isfinite(values).all() else None
 
 
-def _parse(lines):
-    """The lines as float64 values, or None if one is not a finite float."""
-    try:
-        values = np.fromiter(map(float, lines), np.float64, len(lines))
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+def _parse_lines(path, text):
+    """The text as float64 values, one per data line, in one pass.
 
-
-def _raise_first_bad_line(path, lines):
-    """Raise the error of the first data line that is not a finite float."""
-    for lineno, line in enumerate(lines, start=1):
+    Each line is stripped; blank and '#' lines are skipped; every other
+    line must be one finite float().  The first that is not raises a
+    ValueError naming its line, and text with no data line raises too.
+    """
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
         if not line or line[0] == "#":
             continue
         try:
@@ -130,6 +118,10 @@ def _raise_first_bad_line(path, lines):
             raise ValueError(
                 f"non-finite value at line {lineno} of {path}: {line!r}"
             )
+        values.append(value)
+    if not values:
+        raise ValueError(f"no data in {path}")
+    return np.array(values)
 
 
 def _seed_arg(text):

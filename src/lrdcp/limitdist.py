@@ -97,6 +97,9 @@ class CriticalValueTable:
                 f"critical-value table hurst must be a number, "
                 f"got {self.hurst!r}"
             )
+        if not isinstance(self.window, TestWindow):
+            raise ValueError("critical-value table window must be a "
+                             f"TestWindow, got {self.window!r}")
         for key, value, bound, rule in (
             ("reps", self.replications, math.inf, ">= 0"),
             ("grid", self.grid_size, math.inf, ">= 0"),

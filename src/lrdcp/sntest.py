@@ -78,7 +78,7 @@ class TestResult:
     reject: bool = None
 
 
-def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
+def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     """G_n(k) for each row of a (batch, n+1) deviation profile.
 
     Returns the (batch, k_hi-k_lo+1) matrix of statistic values and a
@@ -87,6 +87,7 @@ def _gn_matrix(d, n, k_lo, k_hi, num_scale=0.0):
     floor for profiles built from raw values, whose cumsums carry
     rounding residue; rank profiles are exact and pass 0.
     """
+    n = d.shape[1] - 1
     t = np.arange(n + 1, dtype=np.float64)
     window = slice(k_lo, k_hi + 1)
     kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
@@ -169,7 +170,7 @@ def _tn_rows(values, k_lo, k_hi, use_ranks):
     if use_ranks:
         values = rankdata(values)
     d, num_scale = deviation_rows(values, use_ranks)
-    gn, _ = _gn_matrix(d, values.shape[1], k_lo, k_hi, num_scale)
+    gn, _ = _gn_matrix(d, k_lo, k_hi, num_scale)
     return gn.max(axis=-1)
 
 
@@ -197,9 +198,8 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
 def _result_from_deviations(d, window, tie_flag, critical_value,
                             num_scale=0.0):
     """TestResult of a (1, n+1) profile: a batch of one through _gn_matrix."""
-    n = d.shape[1] - 1
-    k_lo, k_hi = window.split_range(n)
-    gn, degenerate = _gn_matrix(d, n, k_lo, k_hi, num_scale)
+    k_lo, k_hi = window.split_range(d.shape[1] - 1)
+    gn, degenerate = _gn_matrix(d, k_lo, k_hi, num_scale)
     values = gn[0]
     best = int(np.argmax(values))  # first maximum: smallest-k tie rule
     statistic = float(values[best])

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import json
 import math
@@ -160,11 +161,12 @@ class TestReadSeries:
                 return parse(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "_parse", counting("_parse", cli._parse))
+        monkeypatch.setattr(cli, "_parse_lines",
+                            counting("_parse_lines", cli._parse_lines))
         monkeypatch.setattr(np, "loadtxt", counting("loadtxt", np.loadtxt))
         path = self._file(tmp_path, "1.5\n2.5\n3.5\n4.5\n" + tail)
         assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
-        assert calls == ["_parse" if "#" in tail else "loadtxt"]
+        assert calls == ["_parse_lines" if "#" in tail else "loadtxt"]
 
     @pytest.mark.parametrize("text", ["1.5 2.5\n", "1.5 2.5\n3.5 4.5\n" * 2])
     def test_two_values_on_every_line_is_parse_error(self, text, tmp_path):
@@ -225,15 +227,29 @@ class TestReadSeries:
         path = self._file(tmp_path, f"1.0\n2.0\n{line}\n4.0\n5.0\n")
         assert self._error(path) == f"parse error at line 3 of {path}: {line!r}"
 
-    def test_pipe_input_reports_line(self):
+    @staticmethod
+    @contextlib.contextmanager
+    def _pipe(text):
+        """A path that reads ``text`` through a pipe: /dev/fd/N."""
         read_end, write_end = os.pipe()
         try:
-            os.write(write_end, b"1.0\n2.0\n3.0\nabc\n5.0\n")
+            os.write(write_end, text.encode())
             os.close(write_end)
-            path = f"/dev/fd/{read_end}"
-            assert self._error(path) == f"parse error at line 4 of {path}: 'abc'"
+            yield f"/dev/fd/{read_end}"
         finally:
             os.close(read_end)
+
+    def test_pipe_input_reports_line(self, tmp_path):
+        with self._pipe("1.0\n2.0\n3.0\nabc\n5.0\n") as path:
+            assert self._error(path) == f"parse error at line 4 of {path}: 'abc'"
+        # a regular file of this text goes to NumPy's reader, the pipe to
+        # the per-line pass: both must give every bit of the values
+        expected = np.random.default_rng(6).standard_normal(300) * 1e3
+        text = "".join("%.17g\n" % x for x in expected.tolist())
+        from_file = read_series(self._file(tmp_path, text)).values
+        assert from_file.tobytes() == expected.tobytes()
+        with self._pipe(text) as path:
+            assert read_series(path).values.tobytes() == from_file.tobytes()
 
     def test_parsing_scales_linearly(self, tmp_path):
         # ten times the lines must cost well under fifteen times the CPU

@@ -321,6 +321,15 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="repeats key '0.05'"):
             CriticalValueTable.from_json(text)
 
+    def test_window_must_be_a_test_window(self):
+        # to_json and check_matches read the window's tau1 and tau2
+        with pytest.raises(ValueError, match=(
+            r"^critical-value table window must be a TestWindow, "
+            r"got \(0.15, 0.85\)$"
+        )):
+            CriticalValueTable(hurst=0.7, window=(0.15, 0.85),
+                               quantiles={0.05: 8.4})
+
     @pytest.mark.parametrize("value", [-8.4, 0.0, -0.0])
     def test_non_positive_critical_value_rejected(self, value):
         # T_n >= 0: such a value would reject every series
