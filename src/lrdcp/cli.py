@@ -268,10 +268,10 @@ def cmd_reproduce_tables(parser, args):
 
 
 def _add_window_flags(sub):
-    sub.add_argument("--tau1", type=float, default=0.15,
-                     help="lower trimming fraction (default 0.15)")
-    sub.add_argument("--tau2", type=float, default=0.85,
-                     help="upper trimming fraction (default 0.85)")
+    sub.add_argument("--tau1", type=float, default=TestWindow.tau1,
+                     help="lower trimming fraction (default %(default)s)")
+    sub.add_argument("--tau2", type=float, default=TestWindow.tau2,
+                     help="upper trimming fraction (default %(default)s)")
 
 
 def build_parser():
@@ -304,7 +304,7 @@ def build_parser():
     sub = register("test", help="test a series for a mean change")
     sub.add_argument("--input", required=True, help="file, one value per line")
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
-    sub.add_argument("--level", type=float, default=0.05)
+    sub.add_argument("--level", type=float, default=ExperimentSpec.level)
     _add_window_flags(sub)
     sub.add_argument("--cv", help="critical-value table JSON (else simulated)")
     sub.add_argument("--seed", type=_seed_arg,
@@ -323,10 +323,10 @@ def build_parser():
         "critical-values", help="simulate limit-distribution quantiles"
     )
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
-    sub.add_argument("--grid", type=int, default=1000)
-    sub.add_argument("--reps", type=int, default=10000)
+    sub.add_argument("--grid", type=int, default=LimitSimSpec.grid_size)
+    sub.add_argument("--reps", type=int, default=LimitSimSpec.replications)
     _add_window_flags(sub)
-    sub.add_argument("--levels", default="0.10,0.05,0.01")
+    sub.add_argument("--levels", default=",".join(map(str, LimitSimSpec.levels)))
     sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", help="write the table JSON here instead of stdout")
     sub.set_defaults(handler=cmd_critical_values)
@@ -336,13 +336,13 @@ def build_parser():
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
     sub.add_argument("--n", required=True,
                      help="series length, or comma list for sweeps")
-    sub.add_argument("--delta", type=float, default=0.0,
+    sub.add_argument("--delta", type=float, default=ExperimentSpec.delta,
                      help="shift height (power/consistency)")
-    sub.add_argument("--tau", type=float, default=0.5,
-                     help="change fraction (default 0.5)")
-    sub.add_argument("--c", type=float, default=0.0,
+    sub.add_argument("--tau", type=float, default=ExperimentSpec.tau,
+                     help="change fraction (default %(default)s)")
+    sub.add_argument("--c", type=float, default=ExperimentSpec.c,
                      help="local-alternative scale: shift c * n^(H-1)")
-    sub.add_argument("--level", type=float, default=0.05)
+    sub.add_argument("--level", type=float, default=ExperimentSpec.level)
     sub.add_argument("--reps", type=int, default=5000)
     _add_window_flags(sub)
     sub.add_argument("--seed", type=_seed_arg)

@@ -21,6 +21,7 @@ n, so a ``SamplerGroup`` of samplers with one embedding size draws them
 once for all its samplers.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,11 +69,21 @@ def fgn_autocovariance(hurst, lags):
     return gam
 
 
+def check_integer(value, name, lo, hi, rule):
+    """``value`` as an int if it is an integer in [lo, hi), else ValueError.
+
+    NumPy ints pass, bool does not; errors read ``NAME must RULE, got VALUE``.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value < hi:
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return int(value)
+
+
 def check_seed(seed, name="master_seed"):
-    """Return ``seed`` if 0 <= seed < 2**63, else raise ValueError."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"{name} must lie in [0, 2**63), got {seed}")
-    return seed
+    """``seed`` as an int if an integer in [0, 2**63), else ValueError."""
+    return check_integer(seed, name, 0, SEED_LIMIT, "lie in [0, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,7 @@ class FgnParams:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.length < 2:
-            raise ValueError(f"length must be at least 2, got {self.length}")
+        check_integer(self.length, "length", 2, np.inf, "be at least 2")
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,7 @@ class FgnSampler:
 
 def embedding_size(length):
     """M for a series of ``length``: the smallest power of two >= length."""
-    return 1 << (length - 1).bit_length()
+    return 1 << (int(length) - 1).bit_length()
 
 
 def build_sampler(params):
@@ -179,8 +189,8 @@ def _philox_state(master_seed, replication, stream):
 def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     """Draw one fGn series per replication index; shape (len, n).
 
-    ``master_seed`` must lie in [0, 2**63), ``stream`` in [0, 2**15) and
-    each replication index in [0, 2**48); anything else is a ValueError.
+    ``master_seed`` must be an integer in [0, 2**63), ``stream`` one in
+    [0, 2**15) and each replication index in [0, 2**48), else ValueError.
     Row r is a pure function of (params, master_seed, replications[r],
     stream), independent of how the indices are grouped into blocks.  One
     Philox generator and one state dict serve the call: before a row's
@@ -197,8 +207,8 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     sampler would draw alone.
     """
     check_seed(master_seed)
-    if not 0 <= stream < _STREAM_BOUND:
-        raise ValueError(f"stream must lie in [0, 2**15), got {stream}")
+    stream = check_integer(stream, "stream", 0, _STREAM_BOUND,
+                           "lie in [0, 2**15)")
     reps = list(replications)
     if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
         raise ValueError(f"replication indices must lie in [0, 2**48), "
@@ -245,7 +255,7 @@ def sample_fgn(sampler, seed):
     """One stationary Gaussian vector with mean 0 and autocovariance gamma.
 
     Deterministic in (sampler.params, seed); equals replication 0 of
-    stream 0 under master seed ``seed``, which must lie in [0, 2**63).
+    stream 0 under master seed ``seed``, an integer in [0, 2**63).
     """
     return sample_fgn_block(sampler, seed, [0])[0]
 

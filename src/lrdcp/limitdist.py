@@ -32,6 +32,7 @@ from .fgn import (
     FgnParams,
     SamplerGroup,
     build_sampler,
+    check_integer,
     check_seed,
     embedding_size,
     sample_fgn_block,
@@ -60,13 +61,9 @@ class LimitSimSpec:
                 f"hurst must lie in (0.5, 1) for a long-range dependent "
                 f"limit, got {self.hurst}"
             )
-        if self.grid_size < 100:
-            raise ValueError(f"grid_size must be >= 100, got {self.grid_size}")
-        if not 100 <= self.replications <= REPLICATION_LIMIT:
-            raise ValueError(
-                f"replications (reps) must be >= 100 and <= 2**48, "
-                f"got {self.replications}"
-            )
+        check_integer(self.grid_size, "grid_size", 100, math.inf, "be >= 100")
+        check_integer(self.replications, "replications (reps)", 100,
+                      REPLICATION_LIMIT + 1, "be >= 100 and <= 2**48")
         levels = tuple(self.levels)
         if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
             raise ValueError(f"levels must lie strictly in (0, 1), got {levels}")
@@ -100,17 +97,12 @@ class CriticalValueTable:
         if not isinstance(self.window, TestWindow):
             raise ValueError("critical-value table window must be a "
                              f"TestWindow, got {self.window!r}")
-        for key, value, bound, rule in (
-            ("reps", self.replications, math.inf, ">= 0"),
-            ("grid", self.grid_size, math.inf, ">= 0"),
-            ("seed", self.master_seed, SEED_LIMIT, "in [0, 2**63)"),
-        ):
-            if not (isinstance(value, numbers.Integral)
-                    and not isinstance(value, bool) and 0 <= value < bound):
-                raise ValueError(
-                    f"critical-value table {key} must be an integer {rule}, "
-                    f"got {value!r}"
-                )
+        check_integer(self.replications, "critical-value table reps", 0,
+                      math.inf, "be an integer >= 0")
+        check_integer(self.grid_size, "critical-value table grid", 0,
+                      math.inf, "be an integer >= 0")
+        check_integer(self.master_seed, "critical-value table seed", 0,
+                      SEED_LIMIT, "be an integer in [0, 2**63)")
         if not isinstance(self.generator, str):
             raise ValueError(
                 f"critical-value table generator must be a string, "
@@ -270,11 +262,11 @@ class SimChunk:
     change_index: int = 0
 
 
-def chunk_tasks(replications, **fields):
-    """The ``SimChunk`` of each fixed-size chunk of range(replications)."""
+def chunk_tasks(replications, n, **fields):
+    """The ``SimChunk`` of each chunk of range(replications), in Python ints."""
     return [
-        SimChunk(lo=lo, hi=hi, **fields)
-        for lo, hi in _parallel.chunk_ranges(replications)
+        SimChunk(n=int(n), lo=lo, hi=hi, **fields)
+        for lo, hi in _parallel.chunk_ranges(int(replications))
     ]
 
 
@@ -362,6 +354,7 @@ def simulate_cells(cells):
 
 def limit_tasks(spec):
     """Chunk tasks of a limit-law simulation."""
+    spec.window.split_range(spec.grid_size)  # too narrow: fails before a draw
     return chunk_tasks(
         spec.replications, hurst=spec.hurst, n=spec.grid_size,
         window=spec.window, master_seed=spec.master_seed,

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import REPLICATION_LIMIT, STREAM_EXPERIMENT, check_seed
+from .fgn import (REPLICATION_LIMIT, STREAM_EXPERIMENT, check_integer,
+                  check_seed)
 from .limitdist import (
     LimitSimSpec,
     chunk_tasks,
@@ -68,13 +69,9 @@ class ExperimentSpec:
         # every experiment reads a limit table, which needs H in (0.5, 1)
         if not 0.5 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
-        if self.n < 4:
-            raise ValueError(f"n must be at least 4, got {self.n}")
-        if not 1 <= self.replications <= REPLICATION_LIMIT:
-            raise ValueError(
-                f"replications must be positive and at most 2**48, "
-                f"got {self.replications}"
-            )
+        check_integer(self.n, "n", 4, math.inf, "be at least 4")
+        check_integer(self.replications, "replications", 1,
+                      REPLICATION_LIMIT + 1, "be positive and at most 2**48")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.level < 1.0:

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrdcp import _parallel, cli
+from lrdcp import _parallel, cli, limitdist
 from lrdcp.cli import main, read_series
-from lrdcp.limitdist import CriticalValueTable
+from lrdcp.limitdist import CriticalValueTable, LimitSimSpec
 from lrdcp.montecarlo import CSV_COLUMNS, ExperimentSpec, run_experiments
 
 
@@ -476,6 +476,59 @@ class TestCriticalValuesCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("lrdcp: error:")
         assert "replications (reps) must be >= 100" in last
+
+    @pytest.mark.parametrize("tau1, tau2, code, drawn", [
+        ("0.0001", "0.0005", 1, False),  # no split at the default grid
+        ("0.15", "0.85", 0, True),       # control: the counter sees draws
+    ])
+    def test_narrow_window_fails_before_any_draw(self, tau1, tau2, code,
+                                                 drawn, monkeypatch, capsys):
+        # 100 replications are one task, which runs in this process
+        calls = []
+        draw = limitdist.sample_fgn_block
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(limitdist, "sample_fgn_block", counting)
+        assert main([
+            "critical-values", "--hurst", "0.7", "--tau1", tau1,
+            "--tau2", tau2, "--reps", "100", "--seed", "1",
+        ]) == code
+        assert bool(calls) is drawn
+        if not drawn:
+            assert capsys.readouterr().err == (
+                "error: window (0.0001, 0.0005) is too narrow for n=1000: "
+                "admissible splits [0, 0] must lie in [1, 999]\n"
+            )
+
+    def test_finer_grid_table_serves_a_window_too_narrow_for_1000(
+            self, tmp_path, capsys):
+        # (0.0006, 0.9) has a split at n=2000 but none at n=1000: test and
+        # experiment never simulate their grid-1000 spec when given --cv
+        window = ["--tau1", "0.0006", "--tau2", "0.9"]
+        table, series = tmp_path / "fine.json", tmp_path / "long.txt"
+        assert main([
+            "critical-values", "--hurst", "0.7", "--grid", "2000",
+            "--reps", "100", "--seed", "4", "--out", str(table), *window,
+        ]) == 0
+        assert main([
+            "generate-fgn", "--hurst", "0.7", "--length", "2000",
+            "--seed", "6", "--out", str(series),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "test", "--input", str(series), "--hurst", "0.7",
+            "--cv", str(table), *window,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["cv_source"] == "file"
+        assert main([
+            "experiment", "--kind", "size", "--hurst", "0.7", "--n", "2000",
+            "--reps", "10", "--seed", "1", "--cv", str(table),
+            "--format", "json", *window,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["cv_source"] == "file"
 
 
 _VALID_ARGV = {
@@ -1221,6 +1274,27 @@ class TestParser:
         monkeypatch.setattr(shutil, "get_terminal_size", counting)
         cli.build_parser()
         assert len(calls) == 1
+
+    def test_defaults_read_from_the_specs(self):
+        parser = cli.build_parser()
+
+        def parsed(*argv):
+            return vars(parser.parse_args([*argv, "--hurst", "0.7"]))
+
+        table = parsed("critical-values")
+        assert (table["grid"], table["reps"], table["tau1"], table["tau2"]) \
+            == (1000, 10000, 0.15, 0.85)
+        assert (table["grid"], table["reps"]) \
+            == (LimitSimSpec.grid_size, LimitSimSpec.replications)
+        levels = tuple(float(part) for part in table["levels"].split(","))
+        assert levels == (0.1, 0.05, 0.01) == LimitSimSpec.levels
+        run = parsed("experiment", "--kind", "size", "--n", "50")
+        assert (run["level"], run["tau"], run["delta"], run["c"],
+                run["reps"]) == (0.05, 0.5, 0.0, 0.0, 5000)
+        assert parsed("test", "--input", "x.txt")["level"] == 0.05
+        help_text = parser._command_parsers["test"].format_help()
+        assert "lower trimming fraction (default 0.15)" in help_text
+        assert "upper trimming fraction (default 0.85)" in help_text
 
 
 class TestConsoleEntryPoint:

@@ -1,5 +1,7 @@
 """Tests for exact fractional Gaussian noise sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -50,12 +52,29 @@ class TestAutocovariance:
         assert gam == pytest.approx(expected, rel=1e-3)
 
 
+# values an integer field (count, seed or stream) must refuse
+NOT_INTEGERS = [1.5, 100.0, True, np.float64(100)]
+NOT_INTEGER_IDS = ["fraction", "whole-float", "bool", "numpy-float"]
+
+
 class TestBuildSampler:
     def test_params_validation(self):
         with pytest.raises(ValueError, match="hurst"):
             FgnParams(1.2, 100)
         with pytest.raises(ValueError, match="length"):
             FgnParams(0.7, 1)
+
+    @pytest.mark.parametrize("length", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    def test_length_must_be_an_integer(self, length):
+        with pytest.raises(ValueError,
+                           match=r"^length must be an integer, got "):
+            FgnParams(0.7, length)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.uint16, np.int64])
+    def test_numpy_integer_length(self, kind):
+        weights = build_sampler(FgnParams(0.7, kind(100))).spectral_weights
+        expected = build_sampler(FgnParams(0.7, 100)).spectral_weights
+        assert weights.tobytes() == expected.tobytes()
 
     def test_white_noise_weights_are_flat(self):
         sampler = build_sampler(FgnParams(0.5, 8))
@@ -198,6 +217,31 @@ class TestBlockMatchesPerReplicationReference:
         sampler = build_sampler(FgnParams(0.6, 300))
         with pytest.raises(ValueError, match=r"\[0, 2\*\*15\)"):
             sample_fgn_block(sampler, 5, range(3), stream=stream)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in ("master_seed", "stream")
+         for value in NOT_INTEGERS] + [("stream", 1.0)],
+        ids=[f"{name}-{kind}" for name in ("master_seed", "stream")
+             for kind in NOT_INTEGER_IDS] + ["stream-one"],
+    )
+    def test_non_integer_seed_or_stream_rejected(self, name, value):
+        # a float seed must not draw its integer part's rows, nor a float
+        # stream fail inside the key arithmetic
+        sampler = build_sampler(FgnParams(0.6, 300))
+        key = {"master_seed": 5, "stream": 0, name: value}
+        with pytest.raises(ValueError, match=(
+            rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+        )):
+            sample_fgn_block(sampler, replications=range(3), **key)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.uint16, np.int64])
+    def test_numpy_integer_seed_and_stream(self, kind):
+        # a narrow NumPy stream id must keep its bits in the key shift
+        sampler = build_sampler(FgnParams(0.6, 300))
+        block = sample_fgn_block(sampler, kind(5), range(3), stream=kind(1))
+        expected = sample_fgn_block(sampler, 5, range(3), stream=1)
+        assert block.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("replication", [-1, 1 << 48])
     def test_replication_outside_range_rejected(self, replication):

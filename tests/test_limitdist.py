@@ -9,18 +9,24 @@ import pytest
 
 from lrdcp import (
     CriticalValueTable,
+    ExperimentSpec,
     LimitSimSpec,
     critical_values,
     limitdist,
     simulate_limit_values,
     upper_quantile,
 )
-from lrdcp.fgn import STREAM_LIMIT, FgnParams, build_sampler, sample_fgn_block
+from lrdcp.fgn import (STREAM_LIMIT, FgnParams, build_sampler, sample_fgn,
+                       sample_fgn_block)
 from lrdcp.limitdist import SimChunk, simulate_chunk
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 from lrdcp.sntest import batch_tn_from_values
 
 FAST = dict(grid_size=200, replications=2000)
+
+# values an integer field (count or seed) must refuse
+NOT_INTEGERS = [1.5, 100.0, True, np.float64(100)]
+NOT_INTEGER_IDS = ["fraction", "whole-float", "bool", "numpy-float"]
 
 
 def direct_functional(path, k_lo, k_hi):
@@ -73,6 +79,27 @@ class TestSpecValidation:
     def test_level_bounds(self):
         with pytest.raises(ValueError, match="levels"):
             LimitSimSpec(0.7, levels=(0.05, 1.5))
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize(
+        "field, name",
+        [("grid_size", "grid_size"),
+         ("replications", r"replications \(reps\)"),
+         ("master_seed", "master_seed")],
+        ids=["grid_size", "replications", "master_seed"],
+    )
+    def test_integer_field_refuses_non_integer(self, field, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, "):
+            LimitSimSpec(0.7, **{field: value})
+
+    @pytest.mark.parametrize("kind", [np.int32, np.uint16, np.int64])
+    def test_integer_fields_take_numpy_integers(self, kind):
+        spec = LimitSimSpec(0.7, grid_size=kind(200), replications=kind(150),
+                            master_seed=kind(3))
+        plain = LimitSimSpec(0.7, grid_size=200, replications=150,
+                             master_seed=3)
+        assert (critical_values(spec).to_json()
+                == critical_values(plain).to_json())
 
 
 class TestFunctional:
@@ -284,6 +311,9 @@ class TestTableValidation:
             (lambda p: {**p, "seed": 1.5}, "seed"),
             (lambda p: {**p, "seed": -1}, "seed"),
             (lambda p: {**p, "seed": 1 << 63}, "seed"),
+            (lambda p: {**p, "reps": 2000.0}, "reps must be an integer"),
+            (lambda p: {**p, "grid": True}, "grid must be an integer"),
+            (lambda p: {**p, "seed": True}, "seed must be an integer"),
             (lambda p: {**p, "generator": 7}, "generator"),
             (lambda p: {**p, "quantiles": {"0.05": 8.4, "5e-2": 9.1}},
              "one level by two keys"),
@@ -295,7 +325,8 @@ class TestTableValidation:
             "string-window", "quantile-list", "no-quantiles", "null-quantile",
             "word-level", "level-above-one", "string-reps", "boolean-reps",
             "negative-grid", "float-grid", "float-seed", "negative-seed",
-            "seed-above-range", "number-generator", "level-spelled-twice",
+            "seed-above-range", "whole-float-reps", "boolean-grid",
+            "boolean-seed", "number-generator", "level-spelled-twice",
             "reversed-window",
         ],
     )
@@ -304,6 +335,19 @@ class TestTableValidation:
         with pytest.raises(ValueError, match=message) as excinfo:
             CriticalValueTable.from_json(text)
         assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    @pytest.mark.parametrize(
+        "field, key",
+        [("replications", "reps"), ("grid_size", "grid"),
+         ("master_seed", "seed")],
+    )
+    def test_integer_field_refuses_non_integer(self, field, key, value):
+        with pytest.raises(ValueError, match=(
+            rf"^critical-value table {key} must be an integer, got "
+        )):
+            CriticalValueTable(hurst=0.7, window=Window(),
+                               quantiles={0.05: 8.4}, **{field: value})
 
     def test_non_finite_quantile_rejected(self):
         payload = self.table_payload()
@@ -380,6 +424,21 @@ class TestSeedRange:
     def test_spec_rejects_seed_outside_range(self, seed):
         with pytest.raises(ValueError, match="master_seed"):
             LimitSimSpec(0.7, master_seed=seed, **FAST)
+
+    def test_fractional_or_boolean_seed_is_refused(self):
+        # a float or bool seed must not run as its integer part (here
+        # seeds 1, 1, 3 and 2) under another seed's name
+        sampler = build_sampler(FgnParams(0.7, 100))
+        for make in (
+            lambda: LimitSimSpec(0.7, master_seed=1.5, **FAST),
+            lambda: LimitSimSpec(0.7, master_seed=True, **FAST),
+            lambda: ExperimentSpec(kind="size", hurst=0.7, n=100,
+                                   replications=10, master_seed=3.7),
+            lambda: sample_fgn(sampler, 2.9),
+        ):
+            with pytest.raises(ValueError,
+                               match="^master_seed must be an integer, got "):
+                make()
 
     def test_largest_seed_accepted(self):
         spec = LimitSimSpec(0.7, master_seed=(1 << 63) - 1, **FAST)

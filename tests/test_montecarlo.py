@@ -106,6 +106,26 @@ class TestSpecValidation:
                 master_seed=seed,
             )
 
+    @pytest.mark.parametrize(
+        "value", [1.5, 100.0, True, np.float64(100)],
+        ids=["fraction", "whole-float", "bool", "numpy-float"],
+    )
+    @pytest.mark.parametrize("field", ["n", "replications", "master_seed"])
+    def test_integer_field_refuses_non_integer(self, field, value):
+        fields = dict(kind="size", hurst=0.7, n=100, replications=10)
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be an integer, got "):
+            ExperimentSpec(**{**fields, field: value})
+
+    @pytest.mark.parametrize("kind", [np.int32, np.uint16, np.int64])
+    def test_integer_fields_take_numpy_integers(self, kind):
+        spec = ExperimentSpec(kind="size", hurst=0.7, n=kind(50),
+                              replications=kind(20), master_seed=kind(2))
+        plain = ExperimentSpec(kind="size", hurst=0.7, n=50, replications=20,
+                               master_seed=2)
+        assert (simulate_statistics(spec).tobytes()
+                == simulate_statistics(plain).tobytes())
+
     def test_shift_rule(self):
         power = ExperimentSpec(
             kind="power", hurst=0.7, n=100, replications=10, delta=1.5
