@@ -20,10 +20,13 @@ draw one and record it in the output, so every run is replayable.
 """
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import math
 import os
+import re
 import secrets
 import shutil
 import sys
@@ -56,32 +59,51 @@ _KIND_ALIASES = {
 }
 
 
-def _read_text(path):
-    """A user file's text: UTF-8, a leading byte-order mark dropped.
+def _decode(path, data):
+    """``data``, the bytes of a user file, as UTF-8 text.
 
-    A byte that is not UTF-8 raises ValueError naming the file.
+    A leading byte-order mark is dropped and line endings are read as
+    ``open`` reads them.  A byte that is not UTF-8 raises ValueError
+    naming the file.
     """
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_text(path):
+    """A user file's text, decoded by ``_decode``."""
+    with open(path, "rb") as handle:
+        return _decode(path, handle.read())
+
+
+# a byte outside the ASCII characters that str.isspace() holds true for
+_NOT_SPACE = re.compile(rb"[^ \t-\r\x1c-\x1f]")
 
 
 def read_series(path):
     """Parse one decimal per line; '#' comments and blank lines ignored.
 
-    A plain regular file (no '#', some non-blank text) goes to NumPy's C
-    reader, which converts each field as float() does, and is taken if it
-    reads as one finite value per line.  Everything else takes one
-    per-line pass, ``_parse_lines``, that names the first bad line.
+    The input is read once, as bytes, and they choose the parser.  A
+    plain regular file (after an optional byte-order mark: ASCII, no '#',
+    some non-blank text) goes to NumPy's C reader, which opens it again
+    and converts each field as float() does, and is taken if it reads as
+    one finite value per line.  Everything else is decoded from those
+    bytes and takes one per-line pass, ``_parse_lines``, that names the
+    first bad line.
     """
-    text = _read_text(path)
-    blank = not text or text.isspace()  # NumPy's reader warns on these
-    if "#" not in text and not blank and os.path.isfile(path):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    body = data.removeprefix(codecs.BOM_UTF8)
+    # NumPy's reader warns on a blank file, so none reaches it
+    if (b"#" not in body and body.isascii() and _NOT_SPACE.search(body)
+            and os.path.isfile(path)):
         values = _load(path)
         if values is not None:
             return TimeSeries(values)
+    text = _decode(path, data)
+    del data, body  # the per-line pass holds the text and its lines only
     return TimeSeries(_parse_lines(path, text))
 
 
@@ -365,6 +387,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses: one per process, built on first use."""
+    return build_parser()
+
+
 # JSON types a config value cannot take: no flag is boolean or structured
 _NOT_SCALAR = {bool: "a boolean", list: "an array", dict: "an object"}
 
@@ -382,7 +410,9 @@ def _apply_config(parser, args, argv):
     be a JSON string or number.  Each value for an option of this
     subcommand is parsed as its flag's command-line text; argparse then
     keeps a typed flag over it.  Options of other subcommands are
-    ignored, so one file can serve several subcommands.
+    ignored, so one file can serve several subcommands.  The re-parse
+    runs on a parser of its own, so the values never become defaults of
+    ``parser``.
     """
     if not args.config:
         return args
@@ -408,8 +438,9 @@ def _apply_config(parser, args, argv):
         if value is not None and dest in actions:
             defaults[dest] = _config_value(parser, args.config, key, value,
                                            actions[dest])
-    parser._command_parsers[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    fresh = build_parser()
+    fresh._command_parsers[args.command].set_defaults(**defaults)
+    return fresh.parse_args(argv)
 
 
 def _config_value(parser, path, key, value, action):
@@ -427,7 +458,7 @@ def _config_value(parser, path, key, value, action):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)

@@ -96,7 +96,8 @@ class FgnParams:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        check_integer(self.length, "length", 2, np.inf, "be at least 2")
+        object.__setattr__(self, "length", check_integer(
+            self.length, "length", 2, np.inf, "be at least 2"))
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,14 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     check_seed(master_seed)
     stream = check_integer(stream, "stream", 0, _STREAM_BOUND,
                            "lie in [0, 2**15)")
-    reps = list(replications)
-    if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
-        raise ValueError(f"replication indices must lie in [0, 2**48), "
-                         f"got {min(reps)}..{max(reps)}")
+    if isinstance(replications, range):  # ints already: check the ends
+        reps = list(replications)
+        if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
+            raise ValueError(f"replication indices must lie in [0, 2**48), "
+                             f"got {min(reps)}..{max(reps)}")
+    else:
+        reps = [check_integer(rep, "replication index", 0, REPLICATION_LIMIT,
+                              "lie in [0, 2**48)") for rep in replications]
     is_group = isinstance(sampler, SamplerGroup)
     samplers = sampler.samplers if is_group else (sampler,)
     m = sampler.embedding_size

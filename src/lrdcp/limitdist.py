@@ -61,14 +61,16 @@ class LimitSimSpec:
                 f"hurst must lie in (0.5, 1) for a long-range dependent "
                 f"limit, got {self.hurst}"
             )
-        check_integer(self.grid_size, "grid_size", 100, math.inf, "be >= 100")
-        check_integer(self.replications, "replications (reps)", 100,
-                      REPLICATION_LIMIT + 1, "be >= 100 and <= 2**48")
+        object.__setattr__(self, "grid_size", check_integer(
+            self.grid_size, "grid_size", 100, math.inf, "be >= 100"))
+        object.__setattr__(self, "replications", check_integer(
+            self.replications, "replications (reps)", 100,
+            REPLICATION_LIMIT + 1, "be >= 100 and <= 2**48"))
         levels = tuple(self.levels)
         if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
             raise ValueError(f"levels must lie strictly in (0, 1), got {levels}")
         object.__setattr__(self, "levels", levels)
-        check_seed(self.master_seed)
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,15 @@ class CriticalValueTable:
         if not isinstance(self.window, TestWindow):
             raise ValueError("critical-value table window must be a "
                              f"TestWindow, got {self.window!r}")
-        check_integer(self.replications, "critical-value table reps", 0,
-                      math.inf, "be an integer >= 0")
-        check_integer(self.grid_size, "critical-value table grid", 0,
-                      math.inf, "be an integer >= 0")
-        check_integer(self.master_seed, "critical-value table seed", 0,
-                      SEED_LIMIT, "be an integer in [0, 2**63)")
+        object.__setattr__(self, "replications", check_integer(
+            self.replications, "critical-value table reps", 0, math.inf,
+            "be an integer >= 0"))
+        object.__setattr__(self, "grid_size", check_integer(
+            self.grid_size, "critical-value table grid", 0, math.inf,
+            "be an integer >= 0"))
+        object.__setattr__(self, "master_seed", check_integer(
+            self.master_seed, "critical-value table seed", 0, SEED_LIMIT,
+            "be an integer in [0, 2**63)"))
         if not isinstance(self.generator, str):
             raise ValueError(
                 f"critical-value table generator must be a string, "
@@ -155,13 +160,14 @@ class CriticalValueTable:
             )
 
     def to_json(self):
-        # numpy scalars pass the checks but not json.dumps
+        # numpy floats pass the checks but not json.dumps; the counts are
+        # Python ints already
         payload = {
             "hurst": float(self.hurst),
             "window": [float(self.window.tau1), float(self.window.tau2)],
-            "grid": int(self.grid_size),
-            "reps": int(self.replications),
-            "seed": int(self.master_seed),
+            "grid": self.grid_size,
+            "reps": self.replications,
+            "seed": self.master_seed,
             "generator": self.generator,
             "quantiles": {repr(float(lv)): float(q)
                           for lv, q in self.quantiles.items()},

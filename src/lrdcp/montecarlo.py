@@ -69,9 +69,11 @@ class ExperimentSpec:
         # every experiment reads a limit table, which needs H in (0.5, 1)
         if not 0.5 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
-        check_integer(self.n, "n", 4, math.inf, "be at least 4")
-        check_integer(self.replications, "replications", 1,
-                      REPLICATION_LIMIT + 1, "be positive and at most 2**48")
+        object.__setattr__(self, "n", check_integer(
+            self.n, "n", 4, math.inf, "be at least 4"))
+        object.__setattr__(self, "replications", check_integer(
+            self.replications, "replications", 1, REPLICATION_LIMIT + 1,
+            "be positive and at most 2**48"))
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.level < 1.0:
@@ -95,7 +97,7 @@ class ExperimentSpec:
                 f"local_alternative shift)"
             )
         self.window.split_range(self.n)
-        check_seed(self.master_seed)
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed))
 
     @property
     def shift(self):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracle import read_series_oracle
 from lrdcp import _parallel, cli, limitdist
 from lrdcp.cli import main, read_series
 from lrdcp.limitdist import CriticalValueTable, LimitSimSpec
@@ -176,17 +177,54 @@ class TestReadSeries:
             f"parse error at line 1 of {path}: '1.5 2.5'"
         )
 
-    @pytest.mark.parametrize("text", ["", " \t\n\n", "\r\n\u3000\r\n"])
+    # str.isspace() holds for each: the ASCII ones outside NumPy's
+    # whitespace, and non-ASCII ones, which take the per-line pass
+    GATE_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                   "\u3000", "\u00a0", "\x85", "\u2028"]
+
+    @pytest.mark.parametrize(
+        "text", ["", " \t\n\n", "\r\n\u3000\r\n", "\ufeff"]
+        + [f"{space}\n{space}\n" for space in GATE_SPACES])
     def test_blank_file_is_no_data_and_nothing_else(self, text, tmp_path,
                                                     cv_file, capsys):
         # NumPy's reader warns on a file with no data, so none reaches it
         path = self._file(tmp_path, text)
+        with pytest.raises(ValueError, match="^no data in "):
+            read_series_oracle(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["test", "--input", str(path), "--hurst", "0.7",
                          "--cv", str(cv_file)])
         assert code == 1
         assert capsys.readouterr().err == f"error: no data in {path}\n"
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_plain_file_is_never_decoded(self, bom, monkeypatch, tmp_path):
+        calls = []
+        for module, name in ((cli, "_parse_lines"), (cli, "_decode"),
+                             (np, "loadtxt")):
+            def counting(*args, _name=name, _call=getattr(module, name),
+                         **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        path = self._file(tmp_path, bom + "1.5\n2.5\n3.5\n4.5\n")
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+        assert calls == ["loadtxt"]
+        calls.clear()
+        path = self._file(tmp_path, bom + "1.5\n# c\n2.5\n3.5\n4.5\n")
+        assert read_series(path).values.tolist() == [1.5, 2.5, 3.5, 4.5]
+        assert calls == ["_decode", "_parse_lines"]
+
+    @pytest.mark.parametrize("space", GATE_SPACES,
+                             ids=[f"U+{ord(space):04X}" for space in GATE_SPACES])
+    def test_blank_lines_between_values_match_oracle(self, space, tmp_path):
+        path = self._file(tmp_path, f"{space}\n1.5\n{space}\n2.5\n"
+                                    f"{space}3.5{space}\n4.5\n{space}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = read_series(path).values
+        assert values.tobytes() == read_series_oracle(path).tobytes()
 
     @staticmethod
     def _test_stdin(cv_file, **kwargs):
@@ -1263,6 +1301,64 @@ class TestReproduceTables:
 
 
 class TestParser:
+    @pytest.fixture
+    def fresh_parser(self):
+        """``main`` starts with no cached parser, and leaves none."""
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def _level(capsys, *argv):
+        assert main([*argv]) == 0
+        return json.loads(capsys.readouterr().out)["level"]
+
+    def test_main_builds_the_parser_once(self, fresh_parser, monkeypatch,
+                                         data_file, cv_file, capsys):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        argv = ["test", "--input", str(data_file), "--hurst", "0.7",
+                "--cv", str(cv_file)]
+        for _ in range(3):
+            assert self._level(capsys, *argv) == 0.05
+        assert len(builds) == 1
+
+    def test_config_stays_out_of_the_shared_parser(self, fresh_parser,
+                                                   data_file, cv_file,
+                                                   tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"level": 0.1}')
+        argv = ["test", "--input", str(data_file), "--hurst", "0.7",
+                "--cv", str(cv_file)]
+        assert self._level(capsys, "--config", str(config), *argv) == 0.1
+        assert self._level(capsys, *argv) == 0.05
+        cli._parser.cache_clear()
+        assert self._level(capsys, *argv) == 0.05
+        assert self._level(capsys, "--config", str(config), *argv) == 0.1
+        assert self._level(capsys, *argv) == 0.05
+
+    def test_help_is_the_same_on_every_call(self, fresh_parser, tmp_path,
+                                            capsys):
+        def help_text(command):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--help"])
+            assert excinfo.value.code == 0
+            return capsys.readouterr().out
+
+        first = {command: help_text(command)
+                 for command in ("test", "critical-values")}
+        assert "lower trimming fraction (default 0.15)" in first["test"]
+        config = tmp_path / "cfg.json"
+        config.write_text('{"tau1": 0.2, "grid": 100, "reps": 200}')
+        table = tmp_path / "table.json"
+        assert main(["--config", str(config), "critical-values", "--hurst",
+                     "0.7", "--seed", "3", "--out", str(table)]) == 0
+        assert json.loads(table.read_text())["window"] == [0.2, 0.85]
+        for command, text in first.items():
+            assert help_text(command) == text
+
     def test_terminal_width_queried_once(self, monkeypatch):
         calls = []
         query = shutil.get_terminal_size

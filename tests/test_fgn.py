@@ -76,6 +76,9 @@ class TestBuildSampler:
         expected = build_sampler(FgnParams(0.7, 100)).spectral_weights
         assert weights.tobytes() == expected.tobytes()
 
+    def test_numpy_integer_length_stored_as_int(self):
+        assert type(FgnParams(0.7, np.int32(100)).length) is int
+
     def test_white_noise_weights_are_flat(self):
         sampler = build_sampler(FgnParams(0.5, 8))
         assert sampler.spectral_weights == pytest.approx(
@@ -248,6 +251,24 @@ class TestBlockMatchesPerReplicationReference:
         sampler = build_sampler(FgnParams(0.6, 300))
         with pytest.raises(ValueError, match=r"\[0, 2\*\*48\)"):
             sample_fgn_block(sampler, 5, [0, replication])
+
+    @pytest.mark.parametrize("replications", [[1.5], [True, 2]],
+                             ids=["float", "bool"])
+    def test_non_integer_replication_rejected(self, replications):
+        # a bool index must not draw replication 1, nor a float fail
+        # inside the key arithmetic
+        sampler = build_sampler(FgnParams(0.6, 300))
+        with pytest.raises(ValueError, match=(
+            r"^replication index must be an integer, got "
+        )):
+            sample_fgn_block(sampler, 5, replications)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.uint16, np.int64])
+    def test_numpy_integer_replications_draw_the_range(self, kind):
+        sampler = build_sampler(FgnParams(0.6, 300))
+        block = sample_fgn_block(sampler, 5, [kind(rep) for rep in range(3, 7)])
+        expected = sample_fgn_block(sampler, 5, range(3, 7))
+        assert block.tobytes() == expected.tobytes()
 
 
 class TestRowBlocks:

@@ -101,6 +101,13 @@ class TestSpecValidation:
         assert (critical_values(spec).to_json()
                 == critical_values(plain).to_json())
 
+    def test_numpy_integer_fields_stored_as_int(self):
+        spec = LimitSimSpec(0.7, grid_size=np.int32(200),
+                            replications=np.uint16(150),
+                            master_seed=np.int64(3))
+        assert [type(value) for value in (
+            spec.grid_size, spec.replications, spec.master_seed)] == [int] * 3
+
 
 class TestFunctional:
     def test_linear_path_scores_zero(self):
@@ -413,6 +420,8 @@ class TestTableValidation:
             grid_size=np.uint16(100),
             master_seed=np.int64(9),
         )
+        assert [type(value) for value in (
+            table.replications, table.grid_size, table.master_seed)] == [int] * 3
         payload = json.loads(table.to_json())
         assert payload["hurst"] == float(np.float32(0.7))
         assert payload["quantiles"] == {"0.05": float(np.float32(8.4))}

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -125,6 +126,14 @@ class TestSpecValidation:
                                master_seed=2)
         assert (simulate_statistics(spec).tobytes()
                 == simulate_statistics(plain).tobytes())
+
+    def test_numpy_integer_fields_give_a_json_row(self, cv_table):
+        spec = ExperimentSpec("size", 0.7, np.int32(50), np.int32(200),
+                              master_seed=np.int64(4))
+        assert [type(value) for value in (
+            spec.n, spec.replications, spec.master_seed)] == [int] * 3
+        row = run_experiment(spec, cv_table).to_csv_row()
+        assert json.loads(json.dumps(row))["n"] == 50
 
     def test_shift_rule(self):
         power = ExperimentSpec(

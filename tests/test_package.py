@@ -46,6 +46,34 @@ def test_import_leaves_numpy_random_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_builds_no_parser():
+    # the CLI's parser is built on first use, so importing stays cheap
+    env = dict(os.environ)
+    src = str(Path(lrdcp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import argparse, shutil\n"
+        "calls = []\n"
+        "size, init = shutil.get_terminal_size, argparse.ArgumentParser.__init__\n"
+        "shutil.get_terminal_size = lambda *a, **k: (calls.append('size'), "
+        "size(*a, **k))[1]\n"
+        "def counting(self, *a, **k):\n"
+        "    calls.append('parser')\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import lrdcp, lrdcp.cli\n"
+        "print(calls, lrdcp.cli._parser.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] 0"
+
+
 def test_tables_leave_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma; the Monte Carlo aggregates do not need it
     env = dict(os.environ, LRD_CP_THREADS="1")

@@ -328,7 +328,7 @@ def series_files(draw):
 
 # whitespace to str.strip(), some of it not to NumPy's reader
 BLANKS = st.sampled_from(["", " ", "\t", " \t ", "\u00a0", "\u3000", "\x0b",
-                          "\x0c", "\x1c", "\x85"])
+                          "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85"])
 VALUE_TOKENS = st.one_of(FINITE.map(repr), FINITE.map(lambda x: "%.17g" % x))
 # tokens only float() takes, edge values, and tokens the reader refuses
 TWO_FIELDS = st.sampled_from(["1 .5", "1.5 2.5"])
