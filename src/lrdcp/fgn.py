@@ -74,7 +74,9 @@ def check_integer(value, name, lo, hi, rule):
 
     NumPy ints pass, bool does not; errors read ``NAME must RULE, got VALUE``.
     """
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    # an exact int skips the ABC check, which costs about 0.3 us a call
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not lo <= value < hi:
         raise ValueError(f"{name} must {rule}, got {value}")
@@ -119,7 +121,7 @@ class FgnSampler:
 
 def embedding_size(length):
     """M for a series of ``length``: the smallest power of two >= length."""
-    return 1 << (int(length) - 1).bit_length()
+    return 1 << (length - 1).bit_length()
 
 
 def build_sampler(params):
@@ -210,14 +212,8 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     check_seed(master_seed)
     stream = check_integer(stream, "stream", 0, _STREAM_BOUND,
                            "lie in [0, 2**15)")
-    if isinstance(replications, range):  # ints already: check the ends
-        reps = list(replications)
-        if reps and not 0 <= min(reps) <= max(reps) < REPLICATION_LIMIT:
-            raise ValueError(f"replication indices must lie in [0, 2**48), "
-                             f"got {min(reps)}..{max(reps)}")
-    else:
-        reps = [check_integer(rep, "replication index", 0, REPLICATION_LIMIT,
-                              "lie in [0, 2**48)") for rep in replications]
+    reps = [check_integer(rep, "replication index", 0, REPLICATION_LIMIT,
+                          "lie in [0, 2**48)") for rep in replications]
     is_group = isinstance(sampler, SamplerGroup)
     samplers = sampler.samplers if is_group else (sampler,)
     m = sampler.embedding_size

@@ -269,10 +269,10 @@ class SimChunk:
 
 
 def chunk_tasks(replications, n, **fields):
-    """The ``SimChunk`` of each chunk of range(replications), in Python ints."""
+    """The ``SimChunk`` of each chunk of range(replications)."""
     return [
-        SimChunk(n=int(n), lo=lo, hi=hi, **fields)
-        for lo, hi in _parallel.chunk_ranges(int(replications))
+        SimChunk(n=n, lo=lo, hi=hi, **fields)
+        for lo, hi in _parallel.chunk_ranges(replications)
     ]
 
 

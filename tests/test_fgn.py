@@ -246,11 +246,16 @@ class TestBlockMatchesPerReplicationReference:
         expected = sample_fgn_block(sampler, 5, range(3), stream=1)
         assert block.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("replication", [-1, 1 << 48])
-    def test_replication_outside_range_rejected(self, replication):
+    @pytest.mark.parametrize("replications", [
+        [0, -1], [0, 1 << 48], range(-1, 1), range((1 << 48) - 1, (1 << 48) + 1),
+    ], ids=["-1", str(1 << 48), "range-below", "range-above"])
+    def test_replication_outside_range_rejected(self, replications):
+        # a range takes the same per-index check as any other sequence
         sampler = build_sampler(FgnParams(0.6, 300))
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*48\)"):
-            sample_fgn_block(sampler, 5, [0, replication])
+        with pytest.raises(ValueError, match=(
+            r"^replication index must lie in \[0, 2\*\*48\), got "
+        )):
+            sample_fgn_block(sampler, 5, replications)
 
     @pytest.mark.parametrize("replications", [[1.5], [True, 2]],
                              ids=["float", "bool"])
