@@ -20,7 +20,6 @@ drops the pool, and a child forked from this process forgets it.
 import atexit
 import os
 import threading
-from multiprocessing import Pool, process
 
 #: replications per chunk; fixed so results never depend on worker count
 CHUNK_SIZE = 500
@@ -77,6 +76,8 @@ def _forget_pool():
     global _warm, _lock
     _lock = threading.Lock()
     if _warm is not None:
+        from multiprocessing import process
+
         process._children.difference_update(_warm[0]._pool)
         # so that dropping the copy writes nothing to the parent's pool
         _warm[0]._change_notifier = None
@@ -101,6 +102,10 @@ def chunked_map(func, tasks):
             _close_pool()
         if size > 1:
             if _warm is None:
+                # imported here: a process that never forks a pool, such
+                # as one `lrdcp test --cv` call, never loads multiprocessing
+                from multiprocessing import Pool
+
                 _warm = (Pool(size), func, workers, size)
             try:
                 # one chunk per dispatch, so workers finish within a chunk

@@ -76,6 +76,12 @@ class ExperimentSpec:
             "be positive and at most 2**48"))
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        # a shift from index 0 moves the whole series: the null in disguise
+        if self.kind != "size" and math.floor(self.n * self.tau) < 1:
+            raise ValueError(
+                f"{self.kind} experiments need floor(n * tau) >= 1, got "
+                f"n={self.n}, tau={self.tau}"
+            )
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not (math.isfinite(self.delta) and math.isfinite(self.c)):

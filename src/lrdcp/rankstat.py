@@ -19,10 +19,13 @@ whose keys show a tie or a near-tie is ranked by the exact rule from that
 key order, which for tied values is already their sorted order.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _parallel
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,38 @@ class RankProfile:
         return self.d.shape[0] - 1
 
 
+# shape constants of blocks within BLOCK_BYTES: the last 32 keys, read-only
+@functools.lru_cache(maxsize=32)
+def _kept(build, key):
+    arrays = build(*key)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _shape_constants(block_shape, build, *key):
+    """``build(*key)``: a tuple of arrays that depend only on a block's shape.
+
+    When a (rows, n+1) float64 profile of the (rows, n) ``block_shape``
+    fits ``_parallel.BLOCK_BYTES``, the arrays are built once per key and
+    kept, read-only, in a small module-level cache (the last 32 keys),
+    which every block of a batch shares.  A larger block, such as one
+    long series, builds them for its call alone and keeps nothing.  The
+    arrays are the same either way, so the cache never changes a bit.
+    """
+    rows, n = block_shape
+    if 8 * rows * (n + 1) > _parallel.BLOCK_BYTES:
+        return build(*key)
+    return _kept(build, key)
+
+
+def _rank_constants(rows, n):
+    """Column indices, row offsets, their flat repeat, and 1..n per row."""
+    offsets = n * np.arange(rows)
+    return (np.arange(n), offsets, np.repeat(offsets, n),
+            np.tile(np.arange(1.0, n + 1.0), rows))
+
+
 def _midranks(values):
     """Midranks along the last axis, and a per-row flag for tied values.
 
@@ -87,18 +122,22 @@ def _midranks(values):
     default kind, puts them in order.  A run of c equal values from
     0-based sorted position p on then gets the midrank p + (c + 1) / 2.
     Midranks are integers or half-integers, hence exact.  Values must be
-    NaN-free.
+    NaN-free.  The index arrays that depend only on the block's shape
+    come from ``_shape_constants``, which keeps them read-only per shape
+    for blocks within ``_parallel.BLOCK_BYTES``; they change no bit.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
     n = shape[-1]
     rows = values.reshape(math.prod(shape[:-1]), n)
+    columns, offsets, flat_offsets, ascending = _shape_constants(
+        rows.shape, _rank_constants, len(rows), n)
     bits = max(1, (n - 1).bit_length())
     low = (1 << bits) - 1
     keys = (rows + 0.0).view(np.int64)
     keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
     keys &= ~low
-    keys |= np.arange(n)
+    keys |= columns
     keys.sort(axis=-1)
     # one pass over the flat block: neighbours that straddle two rows
     # (each row's last column) are not compared
@@ -107,12 +146,11 @@ def _midranks(values):
     same = np.empty(flat.shape, dtype=bool)
     np.equal(high[1:], high[:-1], out=same[:-1])
     same.reshape(rows.shape)[:, n - 1 :] = False
-    offsets = n * np.arange(len(rows))
     flat &= low
-    flat += np.repeat(offsets, n)
+    flat += flat_offsets
     ranks = np.empty(rows.shape)
     if not same.any():
-        ranks.reshape(-1)[flat] = np.tile(np.arange(1.0, n + 1.0), len(rows))
+        ranks.reshape(-1)[flat] = ascending
         return ranks.reshape(shape), np.zeros(shape[:-1], dtype=bool)
     ordered = rows.reshape(-1)[flat]
     if (same[:-1] & (ordered[1:] < ordered[:-1])).any():
@@ -141,6 +179,12 @@ def rankdata(values):
     return _midranks(values)[0]
 
 
+def _profile_constants(n):
+    """k(n+1)/2 and k/n for k = 1..n."""
+    t = np.arange(1.0, n + 1.0)
+    return t * (n + 1) / 2.0, t / n
+
+
 def deviation_rows(x, ranked):
     """Deviation profile d of each row of a (rows, n) block.
 
@@ -149,17 +193,23 @@ def deviation_rows(x, ranked):
     (``ranked``) give d[k] = k(n+1)/2 - sum_{i<=k} R_i, exact in floats,
     with scale 0.  Rows of raw values give the CUSUM counterpart
     d[k] = (k/n) sum x - sum_{i<=k} x_i, whose scale is each row's
-    largest absolute partial sum.
+    largest absolute partial sum.  The partial sums are written straight
+    into d; k(n+1)/2 and k/n come from ``_shape_constants``, which keeps
+    them read-only per shape for blocks within ``_parallel.BLOCK_BYTES``
+    and changes no bit.
     """
     rows, n = x.shape
-    t = np.arange(n + 1, dtype=np.float64)
-    d = np.zeros((rows, n + 1))
-    cumsum = np.cumsum(x, axis=-1)
+    centre, fraction = _shape_constants(x.shape, _profile_constants, n)
+    d = np.empty((rows, n + 1))
+    d[:, 0] = 0.0
+    cumsum = np.cumsum(x, axis=-1, out=d[:, 1:])
     if ranked:
-        d[:, 1:] = t[1:] * (n + 1) / 2.0 - cumsum
+        np.subtract(centre, cumsum, out=cumsum)
         return d, 0.0
-    d[:, 1:] = t[1:] / n * cumsum[:, -1:] - cumsum
-    return d, np.abs(cumsum).max(axis=-1, keepdims=True)
+    floor = np.maximum(cumsum.max(axis=-1, keepdims=True),
+                       -cumsum.min(axis=-1, keepdims=True))
+    np.subtract(fraction * cumsum[:, -1:], cumsum, out=cumsum)
+    return d, floor
 
 
 def build_profile(series):

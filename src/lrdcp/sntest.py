@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .rankstat import build_profile, deviation_rows, rankdata
+from .rankstat import (
+    _shape_constants, build_profile, deviation_rows, rankdata,
+)
 
 #: scale factor of the degenerate-denominator threshold
 DEN_TOL = 1e-12
@@ -78,6 +80,17 @@ class TestResult:
     reject: bool = None
 
 
+def _gn_constants(n, k_lo, k_hi):
+    """t = 0..k_hi and n - t for t = 0..n; over the window, k, n - k and
+    the closed forms of sum_{t<=k} t^2 and sum_{t>k} (n-t)^2."""
+    t = np.arange(n + 1, dtype=np.float64)
+    kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
+    mf = n - kf
+    sum_tsq = kf * (kf + 1.0) * (2.0 * kf + 1.0) / 6.0
+    sum_msq = (mf - 1.0) * mf * (2.0 * mf - 1.0) / 6.0
+    return t[: k_hi + 1], n - t, kf, mf, sum_tsq, sum_msq
+
+
 def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     """G_n(k) for each row of a (batch, n+1) deviation profile.
 
@@ -86,15 +99,22 @@ def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     ``num_scale`` (scalar or per-row column) sets the numerator noise
     floor for profiles built from raw values, whose cumsums carry
     rounding residue; rank profiles are exact and pass 0.
+
+    The arrays that depend only on (n, k_lo, k_hi) come from
+    ``rankstat._shape_constants``: built once per shape and kept read-only
+    for blocks within ``_parallel.BLOCK_BYTES``, and the same arrays in
+    any case, so they change no bit.  The degenerate rule is first bounded
+    over the whole block: each rounding step of its threshold
+    (dk^2 + 1) * DEN_TOL * n is monotone in |dk|, so if the smallest
+    denominator reaches the threshold of the largest |dk| no split can
+    be degenerate (and a NaN fails the comparison), and only otherwise
+    is every split tested.  Rank profiles of continuous data never reach
+    the rule.
     """
     n = d.shape[1] - 1
-    t = np.arange(n + 1, dtype=np.float64)
+    t_head, n_minus_t, kf, mf, sum_tsq, sum_msq = _shape_constants(
+        (len(d), n), _gn_constants, n, k_lo, k_hi)
     window = slice(k_lo, k_hi + 1)
-    kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
-    mf = n - kf
-    # sum_{t<=k} t^2 and sum_{t>k} (n-t)^2 in closed form
-    sum_tsq = kf * (kf + 1.0) * (2.0 * kf + 1.0) / 6.0
-    sum_msq = (mf - 1.0) * mf * (2.0 * mf - 1.0) / 6.0
     dk = d[:, window]
     # with m = n - k, the two halves of the normalizer expand to
     #   first  = sum_{t<=k} d^2 - 2 (d_k/k) sum_{t<=k} t d + (d_k/k)^2 sum t^2
@@ -103,7 +123,7 @@ def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     # same operations in the same order whatever buffer holds it
     run = np.empty_like(d)  # running sums of one profile moment at a time
     head = run[:, : k_hi + 1]  # sum_{t<=k} t d is read only up to k_hi
-    np.multiply(t[: k_hi + 1], d[:, : k_hi + 1], out=head)
+    np.multiply(t_head, d[:, : k_hi + 1], out=head)
     np.cumsum(head, axis=-1, out=head)
     scaled = np.divide(dk, kf)
     first = np.multiply(2.0, scaled)
@@ -118,7 +138,7 @@ def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     term *= sum_tsq
     first += term
     np.divide(dk, mf, out=scaled)
-    np.multiply(n - t, d, out=run)
+    np.multiply(n_minus_t, d, out=run)
     np.cumsum(run, axis=-1, out=run)
     suffix_md = run[:, window]
     np.subtract(run[:, -1:], suffix_md, out=suffix_md)
@@ -136,12 +156,14 @@ def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     np.sqrt(second, out=second)
     with np.errstate(divide="ignore", invalid="ignore"):
         gn = np.divide(abs_dk, second, out=second)
+    peak = abs_dk.max()
+    if denom.min() >= (peak * peak + 1.0) * (DEN_TOL * n):
+        return gn, np.zeros(len(d), dtype=bool)
     np.multiply(dk, dk, out=term)
     term += 1.0
     term *= DEN_TOL * n
     degenerate = denom < term
     flags = degenerate.any(axis=-1)
-    # rank profiles of continuous data never reach the degenerate rule
     if flags.any():
         num_tol = NUM_TOL * (1.0 + np.asarray(num_scale, dtype=np.float64))
         gn = np.where(degenerate, np.where(abs_dk > num_tol, np.inf, 0.0), gn)

@@ -618,6 +618,10 @@ _SPEC_REJECTED = [
      "power experiments must have c = 0"),
     ("experiment", ["--kind", "consistency", "--delta", "1", "--c", "-1"],
      "consistency experiments must have c = 0"),
+    # every --n entry is checked: n=10 puts the change at floor(0.5) = 0
+    ("experiment", ["--kind", "power", "--delta", "1", "--n", "10,500",
+                    "--tau", "0.05"],
+     "power experiments need floor(n * tau) >= 1, got n=10, tau=0.05"),
     ("experiment", ["--kind", "local-alt", "--c", "inf"], "must be finite"),
     ("experiment", ["--kind", "local-alt", "--c", "nan"], "must be finite"),
     ("reproduce-tables", ["--scale", "inf"], "--scale must be positive"),

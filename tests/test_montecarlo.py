@@ -91,6 +91,29 @@ class TestSpecValidation:
             ExperimentSpec(kind=kind, hurst=0.7, n=100, replications=10,
                            delta=delta, c=3.0)
 
+    @pytest.mark.parametrize(
+        "kind, shift",
+        [("power", {"delta": 5.0}), ("consistency", {"delta": -1.0}),
+         ("local_alternative", {"c": 2.0})],
+    )
+    def test_shift_must_leave_the_first_observation(self, kind, shift):
+        # floor(10 * 0.05) = 0 would shift the whole series: the null
+        with pytest.raises(
+            ValueError,
+            match=(rf"^{kind} experiments need floor\(n \* tau\) >= 1, "
+                   rf"got n=10, tau=0.05$"),
+        ):
+            ExperimentSpec(kind=kind, hurst=0.7, n=10, replications=10,
+                           tau=0.05, **shift)
+        spec = ExperimentSpec(kind=kind, hurst=0.7, n=20, replications=10,
+                              tau=0.05, **shift)
+        assert math.floor(spec.n * spec.tau) == 1
+
+    def test_size_takes_any_tau(self):
+        spec = ExperimentSpec(kind="size", hurst=0.7, n=10, replications=10,
+                              tau=0.05)
+        assert spec.tau == 0.05
+
     def test_replication_ceiling(self):
         # a Philox key keeps 48 bits of the replication index
         spec = ExperimentSpec(kind="size", hurst=0.7, n=100,

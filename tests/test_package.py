@@ -46,6 +46,23 @@ def test_import_leaves_numpy_random_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    # only a map that forks a pool needs it; `lrdcp test --cv` never does
+    env = dict(os.environ)
+    src = str(Path(lrdcp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, lrdcp, lrdcp.cli; "
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_import_builds_no_parser():
     # the CLI's parser is built on first use, so importing stays cheap
     env = dict(os.environ)

@@ -13,7 +13,7 @@ from lrdcp import (
     sn_cusum_statistic,
     tn_statistic,
 )
-from lrdcp import _parallel
+from lrdcp import _parallel, rankstat, sntest
 from lrdcp.limitdist import LimitSimSpec
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 from lrdcp.sntest import batch_tn_from_values
@@ -269,6 +269,52 @@ class TestRowBlocks:
         assert rows_per_block(n) == 1
         values = np.random.default_rng(43).normal(size=(3, n))
         self.assert_matches_unblocked(values, use_ranks, monkeypatch)
+
+
+    @pytest.mark.parametrize("use_ranks", [True, False])
+    def test_degenerate_rows_among_ordinary_ones(self, use_ranks,
+                                                 monkeypatch):
+        # TestDegenerateCases' constant row and lone-high-start row fail
+        # the block's degenerate bound, so every split of it is scanned
+        values = np.random.default_rng(44).normal(size=(6, 10))
+        values[1] = 2.0
+        values[4] = [5.0] + [1.0] * 9
+        self.assert_matches_unblocked(values, use_ranks, monkeypatch)
+        lo, hi = Window().split_range(10)
+        d, _ = rankstat.deviation_rows(rankstat.rankdata(values), True)
+        _, flags = sntest._gn_matrix(d, lo, hi)
+        assert flags.tolist() == [False, True, False, False, True, False]
+        for row in (1, 4):
+            assert tn_statistic(TimeSeries(values[row])).degenerate_flag
+
+
+class TestShapeConstants:
+    """Arrays that depend only on a block's shape are kept per shape."""
+
+    KEYS = [
+        (rankstat._rank_constants, (65, 500)),
+        (rankstat._profile_constants, (500,)),
+        (sntest._gn_constants, (500, 75, 425)),
+    ]
+
+    @pytest.mark.parametrize("build, key", KEYS,
+                             ids=["ranks", "profile", "gn"])
+    def test_kept_arrays_are_read_only(self, build, key):
+        kept = rankstat._shape_constants((65, 500), build, *key)
+        assert rankstat._shape_constants((65, 500), build, *key) is kept
+        for array, fresh in zip(kept, build(*key), strict=True):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            assert array.tobytes() == fresh.tobytes()
+
+    def test_series_longer_than_a_block_keeps_nothing(self):
+        n = _parallel.BLOCK_BYTES // 8  # its (1, n+1) profile is too big
+        series = TimeSeries(np.random.default_rng(45).normal(size=n))
+        before = rankstat._kept.cache_info()
+        tn_statistic(series)
+        sn_cusum_statistic(series)
+        assert rankstat._kept.cache_info() == before
 
 
 class TestOutlierRobustness:
