@@ -10,15 +10,17 @@ of the extended autocovariance sequence and are nonnegative for fGn.  One
 draw then costs a single inverse real FFT of independent Gaussian spectral
 amplitudes.
 
-Randomness is counter based: every draw is keyed by a
-(master_seed, replication, stream) triple through a Philox generator, so
-replications can be produced in any batch layout, in any order, on any
-number of workers, and still come out bit identical.  ``sample_fgn`` is
-the (seed, replication=0, stream=0) special case.  Streams separate
-consumers (0 = direct draws, 1 = limit-distribution simulation,
-2 = experiment replications).  A row's normals depend on neither H nor
-n, so a ``SamplerGroup`` of samplers with one embedding size draws them
-once for all its samplers.
+Randomness is counter based: each row's Philox generator is reset to a
+plain-int state dict with key [master_seed, (stream << 48) | replication],
+counter 0 and an empty buffer, the state ``Philox(key=...)`` starts in
+without the OS entropy its constructor reads.  So replications can be
+produced in any batch layout, in any order, on any number of workers,
+and still come out bit identical.  ``sample_fgn`` is the
+(seed, replication=0, stream=0) special case.  Streams separate consumers
+(0 = direct draws, 1 = limit-distribution simulation, 2 = experiment
+replications).  A row's normals depend on neither H nor n, so a
+``SamplerGroup`` of samplers with one embedding size draws them once for
+all its samplers.
 """
 
 import numbers
@@ -169,26 +171,6 @@ class SamplerGroup:
         return self.samplers[0].embedding_size
 
 
-def _philox_state(master_seed, replication, stream):
-    """Fresh Philox state for the key of one (seed, replication, stream).
-
-    Key [master_seed, (stream << 48) | replication], counter 0, empty
-    buffer: the state of a Philox constructed with that key, without the
-    OS entropy a constructor reads.  ``sample_fgn_block`` checks both key
-    words below 2**63, so distinct triples have distinct keys.
-    """
-    key = np.array([master_seed, (stream << 48) | replication],
-                   dtype=np.uint64)
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     """Draw one fGn series per replication index; shape (len, n).
 
@@ -196,13 +178,15 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     [0, 2**15) and each replication index in [0, 2**48), else ValueError.
     Row r is a pure function of (params, master_seed, replications[r],
     stream), independent of how the indices are grouped into blocks.  One
-    Philox generator and one state dict serve the call: before a row's
-    normals are drawn, the dict's key is set to that replication's and
-    the generator is reset to the dict.  Rows go through the draw, the
-    amplitudes and the inverse FFT in blocks of about
-    ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and one
-    amplitude buffer; the amplitudes are written into that buffer's real
-    and imaginary parts, with no complex temporaries.
+    Philox generator and one plain-int state dict serve the call: before
+    a row's normals are drawn, the dict's key becomes [master_seed,
+    (stream << 48) | replication] and the generator is reset to it, the
+    state of ``Philox(key=...)`` without its entropy read.  Both key words
+    lie below 2**63, so distinct triples have distinct keys.  Rows go
+    through the draw, the amplitudes and the inverse FFT in blocks of
+    about ``_parallel.BLOCK_BYTES`` of normals, which reuse one normal and
+    one amplitude buffer; the amplitudes are written into that buffer's
+    real and imaginary parts, with no complex temporaries.
 
     ``sampler`` may also be a ``SamplerGroup``: then each row's normals
     are drawn once for every sampler of the group, and the result is a
@@ -220,8 +204,11 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     root_2m = np.sqrt(2.0 * m)
     bit_generator = np.random.Philox()
     generator = np.random.Generator(bit_generator)
-    state = _philox_state(master_seed, 0, stream)
-    key = state["state"]["key"]
+    key = [master_seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     block = max(1, min(len(reps), _parallel.BLOCK_BYTES // (16 * m)))
     w = np.empty((block, 2 * m))
     # spectral amplitudes: one complex row per replication
@@ -237,10 +224,10 @@ def sample_fgn_block(sampler, master_seed, replications, stream=STREAM_DIRECT):
     for lo in range(0, len(reps), block):
         block_reps = reps[lo : lo + block]
         wb, ab = w[: len(block_reps)], amps[: len(block_reps)]
-        for i, rep in enumerate(block_reps):
+        for rep, row in zip(block_reps, wb):
             key[1] = (stream << 48) | rep
             bit_generator.state = state
-            generator.standard_normal(out=wb[i])
+            generator.standard_normal(out=row)
         for weights, scale, out in plans:
             ab[:, 0] = root_2m * weights[0] * wb[:, 0]
             ab[:, m] = root_2m * weights[m] * wb[:, 1]

@@ -179,7 +179,8 @@ def _unit_scaled(values):
     power of two scales exactly and G_n is homogeneous of degree 0, so
     every non-degenerate value keeps its bits.  The range, not the peak,
     sets the scale so that an offset (x + 1e7) does not shrink the
-    deviations below the degenerate rule's floor.
+    deviations below the degenerate rule's floor; ``sn_cusum_statistic``
+    then takes the offset itself off.
     """
     hi, lo = float(values.max()), float(values.min())
     half_range = hi * 0.5 - lo * 0.5  # cannot overflow
@@ -252,9 +253,14 @@ def sn_cusum_statistic(series, window=TestWindow(), critical_value=None):
     Shares the limit distribution with the Wilcoxon form but is not rank
     invariant, hence less robust to outliers.  The series is scaled to a
     unit range first, so it and any power-of-two multiple of it give the
-    same bits.
+    same bits.  Then its own median element is subtracted: when an offset
+    dominates the spread, every value lies within a factor 2 of that
+    element, so the offset comes off exactly (Sterbenz) instead of
+    rounding the cumulative sums, and a constant series becomes exact
+    zeros.
     """
-    d, num_scale = deviation_rows(_unit_scaled(series.values)[np.newaxis],
-                                  ranked=False)
+    v = _unit_scaled(series.values)
+    v -= np.partition(v, len(v) // 2)[len(v) // 2]
+    d, num_scale = deviation_rows(v[np.newaxis], ranked=False)
     return _result_from_deviations(d, window, False, critical_value, num_scale)
 

@@ -1,10 +1,13 @@
 """Direct O(n^2) oracle for G_n(k) and the kernel values it is checked
-against, and the per-line reference for the CLI's series reader."""
+against, the per-line reference for the CLI's series reader, and a
+Cholesky fGn sampler independent of the package's circulant draw."""
 
 import math
 
 import numpy as np
+import scipy.linalg
 
+from lrdcp.fgn import fgn_autocovariance
 from lrdcp.rankstat import TimeSeries, build_profile
 from lrdcp.sntest import DEN_TOL, _gn_matrix
 
@@ -86,3 +89,18 @@ def read_series_oracle(path):
     if not values:
         raise ValueError(f"no data in {path}")
     return np.array(values, dtype=np.float64)
+
+
+def cholesky_factor(hurst, n):
+    """Lower Cholesky factor L of the n x n fGn covariance matrix."""
+    gamma = fgn_autocovariance(hurst, np.arange(n))
+    return np.linalg.cholesky(scipy.linalg.toeplitz(gamma))
+
+
+def cholesky_fgn(hurst, n, rows, rng):
+    """``rows`` fGn series of length n: L times ``rng``'s normals.
+
+    Exact for any n, and it shares only ``fgn_autocovariance`` with the
+    package's sampler (no circulant embedding, Philox key or FFT).
+    """
+    return rng.standard_normal((rows, n)) @ cholesky_factor(hurst, n).T

@@ -8,9 +8,10 @@ fresh draws, so a failure here is a real discrepancy and not noise.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats
 
-from _oracle import kernel_gn, naive_gn_oracle
+from _oracle import cholesky_factor, cholesky_fgn, kernel_gn, naive_gn_oracle
 from lrdcp import (
     ExperimentSpec,
     FgnParams,
@@ -25,6 +26,9 @@ from lrdcp import (
     sample_fgn_block,
     tn_statistic,
 )
+from lrdcp.fgn import STREAM_LIMIT
+from lrdcp.limitdist import simulate_limit_values
+from lrdcp.sntest import batch_tn_from_values
 
 HURSTS = (0.6, 0.7, 0.8, 0.9)
 
@@ -231,3 +235,49 @@ def test_criterion_10_generator_quality():
         f"H=0.5: KS {ks:.4f} < 0.01, max |acf(1..3)| {max(acf):.5f} < {bound:.5f}"
     )
     _report(10, "generator matches its covariance law", ok, "; ".join(details))
+
+
+def _frobenius_z(z):
+    """z-score of F = R * ||S - I||_F^2, S = Z'Z / R, for R rows of n.
+
+    For i.i.d. N(0, 1) entries F has mean n(n+1) and variance
+    n(8 + 48/R) + 2n(n-1)(2 + 6/R) + 8n(n-1)(n-2)/R + 32n(n-1)/R
+    (diagonal and off-diagonal terms, and the covariances of terms that
+    share an index), exactly.
+    """
+    rows, n = z.shape
+    s = z.T @ z / rows
+    s[np.diag_indices(n)] -= 1.0
+    f = rows * np.sum(s * s)
+    var = (n * (8 + 48 / rows) + 2 * n * (n - 1) * (2 + 6 / rows)
+           + 8 * n * (n - 1) * (n - 2) / rows + 32 * n * (n - 1) / rows)
+    return (f - n * (n + 1)) / np.sqrt(var)
+
+
+def test_criterion_11_limit_law_matches_an_independent_sampler():
+    # The package's limit law against the same functional of Cholesky
+    # draws, which share only fgn_autocovariance with the package's
+    # sampler; then the package's rows whitened by that Cholesky factor.
+    ok = True
+    details = []
+    grid, paths = 256, 20_000
+    for hurst in (0.6, 0.7, 0.9):
+        spec = LimitSimSpec(hurst, grid_size=grid, replications=paths)
+        package = simulate_limit_values(spec)
+        k_lo, k_hi = spec.window.split_range(grid)
+        draws = cholesky_fgn(hurst, grid, paths, np.random.default_rng(12345))
+        oracle = batch_tn_from_values(draws, k_lo, k_hi, use_ranks=False)
+        pvalue = stats.ks_2samp(package, oracle).pvalue
+        ok = ok and pvalue >= 0.001
+        details.append(f"H={hurst}: KS p {pvalue:.3f} >= 0.001")
+    rows, n = 4000, 256
+    for hurst in (0.55, 0.7, 0.95, 0.99):
+        block = sample_fgn_block(build_sampler(FgnParams(hurst, n)), 0,
+                                 range(rows), stream=STREAM_LIMIT)
+        white = scipy.linalg.solve_triangular(
+            cholesky_factor(hurst, n), block.T, lower=True).T
+        z = _frobenius_z(white)
+        ok = ok and abs(z) <= 4.0
+        details.append(f"H={hurst}: whitened Frobenius z {z:+.2f} in [-4, 4]")
+    _report(11, "limit law matches an independent sampler", ok,
+            "; ".join(details))

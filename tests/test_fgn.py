@@ -304,17 +304,24 @@ class TestSamplerGroup:
         samplers = [build_sampler(FgnParams(*p)) for p in self.PARAMS]
         return fgn.SamplerGroup(tuple(samplers))
 
-    def test_each_sampler_draws_its_own_rows(self):
+    # the replications cross a boundary between blocks of normals
+    SPAN = _parallel.BLOCK_BYTES // (16 * 128) + 3
+
+    @pytest.mark.parametrize("seed, stream, first", [
+        (9, fgn.STREAM_EXPERIMENT, 5),
+        # the top seed, stream and replication fill both key words
+        ((1 << 63) - 1, (1 << 15) - 1, (1 << 48) - SPAN),
+    ], ids=["small-key", "top-key"])
+    def test_each_sampler_draws_its_own_rows(self, seed, stream, first):
         group = self._group()
-        block = _parallel.BLOCK_BYTES // (16 * 128)
-        # the replications cross a boundary between blocks of normals
-        reps = range(5, 5 + block + 3)
-        drawn = sample_fgn_block(group, 9, reps, fgn.STREAM_EXPERIMENT)
+        reps = range(first, first + self.SPAN)
+        drawn = sample_fgn_block(group, seed, reps, stream)
         assert len(drawn) == len(group.samplers)
         for sampler, rows in zip(group.samplers, drawn):
-            alone = sample_fgn_block(sampler, 9, reps,
-                                     stream=fgn.STREAM_EXPERIMENT)
+            alone = sample_fgn_block(sampler, seed, reps, stream=stream)
             assert rows.tobytes() == alone.tobytes()
+            expected = reference_block(sampler, seed, reps, stream)
+            assert rows.tobytes() == expected.tobytes()
 
     def test_returned_blocks_outlive_the_next_draw(self):
         group = self._group()

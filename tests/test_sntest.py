@@ -155,6 +155,15 @@ class TestInvariance:
         assert shifted.reject is False
         assert shifted.statistic == pytest.approx(base.statistic, rel=0.01)
 
+    @pytest.mark.parametrize("offset", [1e12, -1e12])
+    def test_cusum_offset_keeps_its_digits(self, offset):
+        # the median element takes the offset off exactly, so only the
+        # rounding of x + offset itself is left (about 1e-4 here)
+        x = np.random.default_rng(0).standard_normal(200)
+        base = sn_cusum_statistic(TimeSeries(x))
+        shifted = sn_cusum_statistic(TimeSeries(x + offset))
+        assert abs(shifted.statistic - base.statistic) <= 1e-3
+
 
 class TestDegenerateCases:
     def test_constant_series_scores_zero(self):
@@ -219,7 +228,11 @@ class TestBatchKernel:
         rng = np.random.default_rng(30)
         values = rng.normal(size=(6, 64))
         lo, hi = Window(0.15, 0.85).split_range(64)
-        batch = batch_tn_from_values(values, lo, hi, use_ranks=False)
+        # each row as sn_cusum_statistic prepares it: scaled to a unit
+        # range, then its median element subtracted
+        scaled = [sntest._unit_scaled(row) for row in values]
+        prepared = np.array([v - np.partition(v, 32)[32] for v in scaled])
+        batch = batch_tn_from_values(prepared, lo, hi, use_ranks=False)
         for row in range(6):
             single = sn_cusum_statistic(TimeSeries(values[row]))
             assert batch[row] == single.statistic
