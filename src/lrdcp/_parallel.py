@@ -15,6 +15,9 @@ a map has more tasks than it has workers below that cap, when it is
 replaced by a fresh pool.  Its workers see the package as it was at that
 fork, so a monkeypatch made later does not reach them.  A map that raises
 drops the pool, and a child forked from this process forgets it.
+Where the platform starts workers by spawn or forkserver instead, each
+worker imports the package afresh and computes the same chunks, so the
+output is the same bits under every start method.
 """
 
 import atexit
@@ -87,7 +90,8 @@ def _forget_pool():
 # multiprocessing's exit hook stops the workers but leaves the pool in its
 # running state, whose __del__ at interpreter teardown then fails loudly
 atexit.register(_close_pool)
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # Unix only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def chunked_map(func, tasks):

@@ -26,9 +26,8 @@ import io
 import json
 import math
 import os
+import random
 import re
-import secrets
-import shutil
 import sys
 
 import numpy as np
@@ -297,14 +296,9 @@ def _add_window_flags(sub):
 
 
 def build_parser():
-    # the width HelpFormatter would query on every add_argument, asked once
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
     parser = argparse.ArgumentParser(
         prog="lrdcp",
         allow_abbrev=False,
-        formatter_class=formatter,
         description=(
             "Self-normalized Wilcoxon change-point test for long-range "
             "dependent time series"
@@ -315,15 +309,11 @@ def build_parser():
         help="JSON file supplying flag values (explicit flags win)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    parser._command_parsers = {}
+    # the name-to-subparser map argparse fills as each one is added
+    parser._command_parsers = commands.choices
 
-    def register(name, **kwargs):
-        sub = commands.add_parser(name, allow_abbrev=False,
-                                  formatter_class=formatter, **kwargs)
-        parser._command_parsers[name] = sub
-        return sub
-
-    sub = register("test", help="test a series for a mean change")
+    sub = commands.add_parser("test", allow_abbrev=False,
+                              help="test a series for a mean change")
     sub.add_argument("--input", required=True, help="file, one value per line")
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
     sub.add_argument("--level", type=float, default=ExperimentSpec.level)
@@ -334,16 +324,16 @@ def build_parser():
     sub.add_argument("--out", help="write the JSON verdict here instead of stdout")
     sub.set_defaults(handler=cmd_test)
 
-    sub = register("generate-fgn", help="sample fGn to a file")
+    sub = commands.add_parser("generate-fgn", allow_abbrev=False,
+                              help="sample fGn to a file")
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0, 1)")
     sub.add_argument("--length", type=int, required=True)
     sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_generate_fgn)
 
-    sub = register(
-        "critical-values", help="simulate limit-distribution quantiles"
-    )
+    sub = commands.add_parser("critical-values", allow_abbrev=False,
+                              help="simulate limit-distribution quantiles")
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
     sub.add_argument("--grid", type=int, default=LimitSimSpec.grid_size)
     sub.add_argument("--reps", type=int, default=LimitSimSpec.replications)
@@ -353,7 +343,8 @@ def build_parser():
     sub.add_argument("--out", help="write the table JSON here instead of stdout")
     sub.set_defaults(handler=cmd_critical_values)
 
-    sub = register("experiment", help="Monte Carlo experiment")
+    sub = commands.add_parser("experiment", allow_abbrev=False,
+                              help="Monte Carlo experiment")
     sub.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES))
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
     sub.add_argument("--n", required=True,
@@ -374,9 +365,8 @@ def build_parser():
                      help="file format for --out (default csv)")
     sub.set_defaults(handler=cmd_experiment)
 
-    sub = register(
-        "reproduce-tables", help="emit the standard study tables"
-    )
+    sub = commands.add_parser("reproduce-tables", allow_abbrev=False,
+                              help="emit the standard study tables")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--scale", type=float, default=1.0,
                      help="replication-count multiplier (floor 200)")
@@ -466,7 +456,7 @@ def main(argv=None):
         if hasattr(args, "hurst") and args.hurst is None:
             parser.error("--hurst is required")
         if args.seed is None:
-            args.seed = secrets.randbits(63)
+            args.seed = random.SystemRandom().getrandbits(63)
         return args.handler(parser, args)
     except (OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

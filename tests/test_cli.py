@@ -1363,17 +1363,18 @@ class TestParser:
         for command, text in first.items():
             assert help_text(command) == text
 
-    def test_terminal_width_queried_once(self, monkeypatch):
-        calls = []
-        query = shutil.get_terminal_size
+    def test_help_follows_the_terminal_width(self, fresh_parser, monkeypatch,
+                                             capsys):
+        # one cached parser wraps its help to the width at each print
+        def widest_line(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as excinfo:
+                main(["test", "--help"])
+            assert excinfo.value.code == 0
+            return max(map(len, capsys.readouterr().out.splitlines()))
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return query(*args, **kwargs)
-
-        monkeypatch.setattr(shutil, "get_terminal_size", counting)
-        cli.build_parser()
-        assert len(calls) == 1
+        assert widest_line(40) <= 38
+        assert widest_line(120) > 60
 
     def test_defaults_read_from_the_specs(self):
         parser = cli.build_parser()

@@ -71,7 +71,7 @@ def test_import_builds_no_parser():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     code = (
-        "import argparse, shutil\n"
+        "import argparse, shutil, sys\n"
         "calls = []\n"
         "size, init = shutil.get_terminal_size, argparse.ArgumentParser.__init__\n"
         "shutil.get_terminal_size = lambda *a, **k: (calls.append('size'), "
@@ -81,14 +81,16 @@ def test_import_builds_no_parser():
         "    init(self, *a, **k)\n"
         "argparse.ArgumentParser.__init__ = counting\n"
         "import lrdcp, lrdcp.cli\n"
-        "print(calls, lrdcp.cli._parser.cache_info().currsize)\n"
+        "print(calls, lrdcp.cli._parser.cache_info().currsize,\n"
+        "      'secrets' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[] 0"
+    # nor does it load secrets, and hashlib with it, for one seed draw
+    assert done.stdout.strip() == "[] 0 False"
 
 
 def test_tables_leave_numpy_ma_unloaded(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the worker count, the chunked map and its pool's lifetime."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -109,6 +110,49 @@ class TestChunkedMap:
             "print(all(limitdist.simulate_cells([tasks])[0]))\n"
         )
         assert _run_script(code).strip() == "True"
+
+    # prints the sha256 of two limit-law cells' values, H 0.7 and 0.8
+    CELLS = (
+        "import hashlib\n"
+        "from lrdcp import limitdist\n"
+        "from lrdcp.sntest import TestWindow\n"
+        "cells = [limitdist.chunk_tasks(1000, hurst=h, n=50,\n"
+        "                               window=TestWindow(), master_seed=0)\n"
+        "         for h in (0.7, 0.8)]\n"
+        "values = limitdist.simulate_cells(cells)\n"
+        "print(hashlib.sha256(b''.join(v.tobytes() for v in values))"
+        ".hexdigest())\n"
+    )
+
+    def _serial_digest(self, monkeypatch):
+        monkeypatch.setenv("LRD_CP_THREADS", "1")
+        cells = [limitdist.chunk_tasks(1000, hurst=h, n=50,
+                                       window=sntest.TestWindow(),
+                                       master_seed=0)
+                 for h in (0.7, 0.8)]
+        values = limitdist.simulate_cells(cells)
+        return hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest()
+
+    def test_imports_where_the_os_cannot_fork(self, monkeypatch):
+        # os.register_at_fork exists on Unix only
+        code = (
+            "import os\n"
+            "del os.register_at_fork\n"
+            "os.environ['LRD_CP_THREADS'] = '1'\n"
+        ) + self.CELLS
+        assert _run_script(code).strip() == self._serial_digest(monkeypatch)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_same_bits_under_every_start_method(self, method, monkeypatch):
+        # spawn is the default on Windows and macOS, forkserver on Linux
+        # from Python 3.14; each then imports the package afresh
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        code = (
+            "import multiprocessing\n"
+            f"multiprocessing.set_start_method({method!r}, force=True)\n"
+        ) + self.CELLS
+        assert _run_script(code).strip() == self._serial_digest(monkeypatch)
 
 
 def _worker_gone(pid):

@@ -11,10 +11,11 @@ import argparse
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -299,6 +300,33 @@ class TestTableProperties:
         for level in levels:
             assert table.critical_value(level) == limitdist.upper_quantile(
                 ordered, level)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(
+        arrays(np.float64, st.integers(1, 100), elements=st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e300, 1e300),
+        )),
+        st.one_of(st.sampled_from(limitdist.LimitSimSpec.levels),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.data(),
+    )
+    def test_verdict_rule_is_numpys_inverted_cdf(self, values, level, data):
+        # the order statistic a verdict compares with is NumPy's own
+        # (1 - level)-quantile of the sample, and T exceeds it exactly
+        # when at most R - k values reach T
+        quantile = limitdist.upper_quantile(np.sort(values), level)
+        assert quantile == np.quantile(values, 1 - level,
+                                       method="inverted_cdf")
+        near = st.sampled_from(values.tolist()).flatmap(
+            lambda v: st.sampled_from([np.nextafter(v, -np.inf),
+                                       np.nextafter(v, np.inf)]))
+        statistic = data.draw(st.one_of(near, st.floats(allow_nan=False)))
+        assume(statistic not in values)
+        r = len(values)
+        k = min(max(math.ceil((1 - level) * r), 1), r)
+        assert (statistic > quantile) == (
+            np.count_nonzero(values >= statistic) <= r - k)
 
 
 COMMENTS = st.tuples(
