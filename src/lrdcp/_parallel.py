@@ -15,6 +15,11 @@ a map has more tasks than it has workers below that cap, when it is
 replaced by a fresh pool.  Its workers see the package as it was at that
 fork, so a monkeypatch made later does not reach them.  A map that raises
 drops the pool, and a child forked from this process forgets it.
+A map also watches the workers its pool had when it began: multiprocessing
+replaces a worker that dies (killed by a signal, say by the OOM killer,
+or failing to start under spawn) and loses its task, so instead of
+waiting for ever the map raises ChildProcessError within about 0.1 s of
+the death, and the pool is dropped like that of any map that raises.
 Where the platform starts workers by spawn or forkserver instead, each
 worker imports the package afresh and computes the same chunks, so the
 output is the same bits under every start method.
@@ -112,9 +117,20 @@ def chunked_map(func, tasks):
 
                 _warm = (Pool(size), func, workers, size)
             try:
+                # Pool replaces a worker that dies and loses its task, so
+                # the map would wait for ever: watch the workers it began
+                # with
+                workers_at_start = list(_warm[0]._pool)
                 # one chunk per dispatch, so workers finish within a chunk
                 # of each other
-                return _warm[0].map(func, tasks, chunksize=1)
+                result = _warm[0].map_async(func, tasks, chunksize=1)
+                while not result.ready():
+                    if any(worker.exitcode is not None
+                           for worker in workers_at_start):
+                        raise ChildProcessError(
+                            "a pool worker died during the map")
+                    result.wait(0.1)
+                return result.get()
             except BaseException:
                 # an interrupted map leaves its tasks queued; a later map
                 # must not wait behind them

@@ -40,6 +40,7 @@ from .limitdist import (
 )
 from .montecarlo import (
     CSV_COLUMNS,
+    KINDS,
     ExperimentSpec,
     reproduce_tables,
     run_experiments,
@@ -50,12 +51,8 @@ from .rankstat import TimeSeries
 from .sntest import TestWindow, tn_statistic
 from .fgn import FgnParams, build_sampler, check_seed, sample_fgn
 
-_KIND_ALIASES = {
-    "size": "size",
-    "power": "power",
-    "consistency": "consistency",
-    "local-alt": "local_alternative",
-}
+# --kind's spelling of each kind: local_alternative is local-alt
+_KIND_ALIASES = {kind.replace("_alternative", "-alt"): kind for kind in KINDS}
 
 
 def _decode(path, data):

@@ -61,8 +61,7 @@ def fgn_autocovariance(hurst, lags):
     -------
     float or ndarray matching the shape of ``lags``.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    check_real(hurst, "hurst", 0.0, 1.0, "lie in (0, 1)")
     k = np.abs(np.asarray(lags, dtype=np.float64))
     two_h = 2.0 * hurst
     gam = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
@@ -85,6 +84,23 @@ def check_integer(value, name, lo, hi, rule):
     return int(value)
 
 
+def is_real(value):
+    """True for a real number (NumPy's too) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(value, name, lo, hi, rule):
+    """ValueError unless ``value`` is a real number in the open (lo, hi).
+
+    The open bounds refuse NaN; errors read ``NAME must RULE, got VALUE``,
+    or ``NAME must be a number, got VALUE!r`` for a non-number or a bool.
+    """
+    if not is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not lo < value < hi:
+        raise ValueError(f"{name} must {rule}, got {value}")
+
+
 def check_seed(seed, name="master_seed"):
     """``seed`` as an int if an integer in [0, 2**63), else ValueError."""
     return check_integer(seed, name, 0, SEED_LIMIT, "lie in [0, 2**63)")
@@ -98,8 +114,7 @@ class FgnParams:
     length: int
 
     def __post_init__(self):
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+        check_real(self.hurst, "hurst", 0.0, 1.0, "lie in (0, 1)")
         object.__setattr__(self, "length", check_integer(
             self.length, "length", 2, np.inf, "be at least 2"))
 

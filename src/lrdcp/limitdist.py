@@ -19,7 +19,6 @@ rank ceil((1 - level) * R), no interpolation.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,10 @@ from .fgn import (
     SamplerGroup,
     build_sampler,
     check_integer,
+    check_real,
     check_seed,
     embedding_size,
+    is_real,
     sample_fgn_block,
 )
 from .sntest import TestWindow, batch_tn_from_values
@@ -56,18 +57,16 @@ class LimitSimSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(
-                f"hurst must lie in (0.5, 1) for a long-range dependent "
-                f"limit, got {self.hurst}"
-            )
+        check_real(self.hurst, "hurst", 0.5, 1.0,
+                   "lie in (0.5, 1) for a long-range dependent limit")
         object.__setattr__(self, "grid_size", check_integer(
             self.grid_size, "grid_size", 100, math.inf, "be >= 100"))
         object.__setattr__(self, "replications", check_integer(
             self.replications, "replications (reps)", 100,
             REPLICATION_LIMIT + 1, "be >= 100 and <= 2**48"))
         levels = tuple(self.levels)
-        if not levels or any(not 0.0 < lv < 1.0 for lv in levels):
+        if not levels or not all(is_real(lv) and 0.0 < lv < 1.0
+                                 for lv in levels):
             raise ValueError(f"levels must lie strictly in (0, 1), got {levels}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
@@ -91,11 +90,8 @@ class CriticalValueTable:
     generator: str = GENERATOR_ID
 
     def __post_init__(self):
-        if not _finite_number(self.hurst):
-            raise ValueError(
-                f"critical-value table hurst must be a number, "
-                f"got {self.hurst!r}"
-            )
+        check_real(self.hurst, "critical-value table hurst", -math.inf,
+                   math.inf, "be a number")
         if not isinstance(self.window, TestWindow):
             raise ValueError("critical-value table window must be a "
                              f"TestWindow, got {self.window!r}")
@@ -115,7 +111,7 @@ class CriticalValueTable:
             )
         quantiles = self.quantiles
         if not (isinstance(quantiles, dict) and quantiles and all(
-            _finite_number(lv) and 0.0 < lv < 1.0 and _finite_number(q)
+            is_real(lv) and 0.0 < lv < 1.0 and is_real(q) and math.isfinite(q)
             for lv, q in quantiles.items()
         )):
             raise ValueError(
@@ -194,7 +190,7 @@ class CriticalValueTable:
                 raise ValueError(f"critical-value table lacks key {key!r}")
         window = payload["window"]
         if not (isinstance(window, list) and len(window) == 2
-                and all(map(_finite_number, window))):
+                and all(map(is_real, window))):
             raise ValueError(
                 f"critical-value table window must be two numbers, got {window!r}"
             )
@@ -236,19 +232,12 @@ def _unique_keys(name):
     return hook
 
 
-def _finite_number(value):
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 @dataclass(frozen=True)
 class SimChunk:
     """Replications [lo, hi) of the statistic on fGn(hurst, n).
 
-    The series gets ``shift`` added from ``change_index`` on, and is
+    Splits run over ``k_range``, the window's inclusive split range for
+    n.  The series gets ``shift`` added from ``change_index`` on, and is
     scored by the rank kernel (``use_ranks``) or the value kernel.  The
     limit law is the unranked, unshifted case on ``STREAM_LIMIT``.  Its
     draw key is (master_seed, stream, lo, M), M = ``embedding_size(n)``:
@@ -258,7 +247,7 @@ class SimChunk:
 
     hurst: float
     n: int
-    window: TestWindow
+    k_range: tuple
     master_seed: int
     lo: int
     hi: int
@@ -268,10 +257,14 @@ class SimChunk:
     change_index: int = 0
 
 
-def chunk_tasks(replications, n, **fields):
-    """The ``SimChunk`` of each chunk of range(replications)."""
+def chunk_tasks(replications, n, window, **fields):
+    """The ``SimChunk`` of each chunk of range(replications).
+
+    A window too narrow for n raises ValueError here, before any draw.
+    """
+    k_range = window.split_range(n)
     return [
-        SimChunk(n=n, lo=lo, hi=hi, **fields)
+        SimChunk(n=n, k_range=k_range, lo=lo, hi=hi, **fields)
         for lo, hi in _parallel.chunk_ranges(replications)
     ]
 
@@ -318,9 +311,8 @@ def simulate_chunk(tasks):
                     if i < len(own) - 1:
                         series = series.copy()
                     series[:, task.change_index:] += task.shift
-                k_lo, k_hi = task.window.split_range(task.n)
                 pieces[task].append(batch_tn_from_values(
-                    series, k_lo, k_hi, use_ranks=task.use_ranks))
+                    series, *task.k_range, use_ranks=task.use_ranks))
     return [np.concatenate(pieces[task]) for task in tasks]
 
 
@@ -360,7 +352,6 @@ def simulate_cells(cells):
 
 def limit_tasks(spec):
     """Chunk tasks of a limit-law simulation."""
-    spec.window.split_range(spec.grid_size)  # too narrow: fails before a draw
     return chunk_tasks(
         spec.replications, hurst=spec.hurst, n=spec.grid_size,
         window=spec.window, master_seed=spec.master_seed,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgn import (REPLICATION_LIMIT, STREAM_EXPERIMENT, check_integer,
-                  check_seed)
+                  check_real, check_seed)
 from .limitdist import (
     LimitSimSpec,
     chunk_tasks,
@@ -67,28 +67,22 @@ class ExperimentSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         # every experiment reads a limit table, which needs H in (0.5, 1)
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
+        check_real(self.hurst, "hurst", 0.5, 1.0, "lie in (0.5, 1)")
         object.__setattr__(self, "n", check_integer(
             self.n, "n", 4, math.inf, "be at least 4"))
         object.__setattr__(self, "replications", check_integer(
             self.replications, "replications", 1, REPLICATION_LIMIT + 1,
             "be positive and at most 2**48"))
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        check_real(self.tau, "tau", 0.0, 1.0, "lie in (0, 1)")
         # a shift from index 0 moves the whole series: the null in disguise
         if self.kind != "size" and math.floor(self.n * self.tau) < 1:
             raise ValueError(
                 f"{self.kind} experiments need floor(n * tau) >= 1, got "
                 f"n={self.n}, tau={self.tau}"
             )
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if not (math.isfinite(self.delta) and math.isfinite(self.c)):
-            raise ValueError(
-                f"delta and c must be finite, got delta={self.delta}, "
-                f"c={self.c}"
-            )
+        check_real(self.level, "level", 0.0, 1.0, "lie in (0, 1)")
+        check_real(self.delta, "delta", -math.inf, math.inf, "be finite")
+        check_real(self.c, "c", -math.inf, math.inf, "be finite")
         if self.kind == "size" and self.delta != 0.0:
             raise ValueError("size experiments must have delta = 0")
         if self.kind in ("power", "consistency") and self.delta == 0.0:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
+from .fgn import is_real
 from .rankstat import (
     _shape_constants, build_profile, deviation_rows, rankdata,
 )
@@ -47,10 +48,11 @@ class TestWindow:
     tau2: float = 0.85
 
     def __post_init__(self):
-        if not 0.0 < self.tau1 < self.tau2 < 1.0:
+        if not (is_real(self.tau1) and is_real(self.tau2)
+                and 0.0 < self.tau1 < self.tau2 < 1.0):
             raise ValueError(
                 f"window must satisfy 0 < tau1 < tau2 < 1, "
-                f"got ({self.tau1}, {self.tau2})"
+                f"got ({self.tau1!r}, {self.tau2!r})"
             )
 
     def split_range(self, n):

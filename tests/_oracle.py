@@ -1,5 +1,6 @@
 """Direct O(n^2) oracle for G_n(k) and the kernel values it is checked
-against, the per-line reference for the CLI's series reader, and a
+against, a long-double residual form of G_n(k) for long series, the
+per-line reference for the CLI's series reader, and a
 Cholesky fGn sampler independent of the package's circulant draw."""
 
 import math
@@ -59,6 +60,23 @@ def kernel_gn(series, k_lo=1, k_hi=None):
     d = build_profile(series).d[np.newaxis]
     gn, _ = _gn_matrix(d, k_lo, n - 1 if k_hi is None else k_hi)
     return gn[0]
+
+
+def residual_gn(d, k):
+    """G_n(k) of a deviation profile d (d[0] = 0), in ``np.longdouble``.
+
+    Two passes: the residuals d_t - (t/k) d_k for t <= k and
+    d_t - ((n-t)/(n-k)) d_k for t > k are formed first, then squared and
+    summed, so no large moments cancel as in the kernel's expanded form.
+    O(n) per split; shares no code with ``_gn_matrix``.
+    """
+    d = np.asarray(d, dtype=np.longdouble)
+    n = len(d) - 1
+    t = np.arange(n + 1, dtype=np.longdouble)
+    first = d[1 : k + 1] - t[1 : k + 1] / k * d[k]
+    second = d[k + 1 :] - (n - t[k + 1 :]) / (n - k) * d[k]
+    total = np.sum(first * first) + np.sum(second * second)
+    return abs(d[k]) / np.sqrt(total / n)
 
 
 def read_series_oracle(path):

@@ -10,6 +10,9 @@ import lrdcp.fgn as fgn
 from lrdcp import _parallel
 from lrdcp import FgnParams, build_sampler, fgn_autocovariance
 from lrdcp import sample_fgn, sample_fgn_block
+from lrdcp.limitdist import CriticalValueTable, LimitSimSpec
+from lrdcp.montecarlo import ExperimentSpec
+from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 
 
 class TestAutocovariance:
@@ -55,6 +58,44 @@ class TestAutocovariance:
 # values an integer field (count, seed or stream) must refuse
 NOT_INTEGERS = [1.5, 100.0, True, np.float64(100)]
 NOT_INTEGER_IDS = ["fraction", "whole-float", "bool", "numpy-float"]
+
+
+# each real-valued field, made with one value in its place
+REAL_FIELDS = {
+    "fgn_autocovariance-hurst": lambda v: fgn_autocovariance(v, 1),
+    "FgnParams-hurst": lambda v: FgnParams(v, 10),
+    "TestWindow-tau1": lambda v: Window(v, 0.5),
+    "TestWindow-tau2": lambda v: Window(0.15, v),
+    "LimitSimSpec-hurst": lambda v: LimitSimSpec(v),
+    "LimitSimSpec-level": lambda v: LimitSimSpec(0.7, levels=(0.05, v)),
+    "ExperimentSpec-hurst": lambda v: ExperimentSpec("size", v, 100, 100),
+    "ExperimentSpec-tau": lambda v: ExperimentSpec("size", 0.7, 100, 100,
+                                                   tau=v),
+    "ExperimentSpec-level": lambda v: ExperimentSpec("size", 0.7, 100, 100,
+                                                     level=v),
+    "ExperimentSpec-delta": lambda v: ExperimentSpec("power", 0.7, 100, 100,
+                                                     delta=v),
+    "ExperimentSpec-c": lambda v: ExperimentSpec("local_alternative", 0.7,
+                                                 100, 100, c=v),
+    "CriticalValueTable-hurst": lambda v: CriticalValueTable(
+        v, Window(), {0.05: 8.4}),
+    "CriticalValueTable-level": lambda v: CriticalValueTable(
+        0.7, Window(), {v: 8.4}),
+    "CriticalValueTable-value": lambda v: CriticalValueTable(
+        0.7, Window(), {0.05: v}),
+}
+
+
+@pytest.mark.parametrize("value", ["0.7", None, True],
+                         ids=["string", "none", "bool"])
+@pytest.mark.parametrize("make", REAL_FIELDS.values(), ids=REAL_FIELDS)
+def test_real_field_refuses_non_number(make, value):
+    # one ValueError that shows the value, never a TypeError from a
+    # comparison, and a bool is not taken for 1
+    with pytest.raises(ValueError) as excinfo:
+        make(value)
+    assert repr(value) in str(excinfo.value)
+    assert "\n" not in str(excinfo.value)
 
 
 class TestBuildSampler:

@@ -156,7 +156,8 @@ class TestSharedNormals:
         # the smaller's by less than one sampler's block of the chunk
         rows, n = 500, 200
         tasks = tuple(
-            SimChunk(hurst=0.55 + 0.025 * i, n=n, window=Window(),
+            SimChunk(hurst=0.55 + 0.025 * i, n=n,
+                     k_range=Window().split_range(n),
                      master_seed=3, lo=0, hi=rows)
             for i in range(16)
         )
@@ -173,7 +174,8 @@ class TestSharedNormals:
         # previous slab, not beside the whole slab
         rows, n, count = 500, 200, 16
         tasks = tuple(
-            SimChunk(hurst=0.55 + 0.025 * i, n=n, window=Window(),
+            SimChunk(hurst=0.55 + 0.025 * i, n=n,
+                     k_range=Window().split_range(n),
                      master_seed=3, lo=0, hi=rows)
             for i in range(count)
         )

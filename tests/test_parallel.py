@@ -43,17 +43,22 @@ def _fail_or_sleep(task):
     return task
 
 
-def _run_script(code):
-    """Run ``code`` with two workers in a fresh interpreter."""
+def _run(*args, timeout=60):
+    """Run the interpreter on ``args`` with two workers; its outcome."""
     env = dict(os.environ, LRD_CP_THREADS="2")
     src = str(Path(lrdcp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
     )
+
+
+def _run_script(code):
+    """Run ``code`` with two workers in a fresh interpreter."""
+    done = _run("-c", code)
     assert done.returncode == 0, done.stderr
     # nothing, such as a pool's failing __del__ at exit, goes to stderr
     assert done.stderr == ""
@@ -290,3 +295,70 @@ class TestWarmPool:
         while not all(map(_worker_gone, workers)):
             assert time.monotonic() < deadline, workers
             time.sleep(0.05)
+
+
+class TestDeadWorker:
+    # each case runs in a fresh interpreter with a timeout, so a map that
+    # waits for ever fails the test instead of hanging the suite
+
+    def test_a_killed_worker_fails_the_map(self):
+        code = (
+            "import json, os, signal, time\n"
+            "from lrdcp import _parallel\n"
+            "def square_or_die(task):\n"
+            "    if task == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    time.sleep(0.02)\n"
+            "    return task * task\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    _parallel.chunked_map(square_or_die, list(range(8)))\n"
+            "except ChildProcessError as exc:\n"
+            "    failed = [str(exc), time.perf_counter() - start]\n"
+            "print(json.dumps(failed))\n"
+            "after = _parallel.chunked_map(square_or_die, [1, 2, 4])\n"
+            "print(json.dumps(after))\n"
+        )
+        failed, after = _run_script(code).splitlines()
+        message, seconds = json.loads(failed)
+        assert message == "a pool worker died during the map"
+        assert seconds < 2.0
+        # the next map forks a fresh pool
+        assert json.loads(after) == [1, 4, 16]
+
+    def test_the_cli_reports_a_killed_worker_in_one_line(self):
+        # patched before the pool forks, so its workers run the killer
+        code = (
+            "import os, signal, sys\n"
+            "from lrdcp import cli, limitdist\n"
+            "def die(tasks):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "limitdist.simulate_chunk = die\n"
+            "sys.exit(cli.main(['experiment', '--kind', 'size', '--hurst',\n"
+            "                   '0.7', '--n', '50', '--reps', '1000',\n"
+            "                   '--seed', '1']))\n"
+        )
+        done = _run("-c", code)
+        assert done.returncode == 1
+        assert done.stderr == "error: a pool worker died during the map\n"
+        assert done.stdout == ""
+
+    def test_a_spawn_worker_that_cannot_start_fails_the_map(self, tmp_path):
+        # a script without a __main__ guard: each spawned worker re-runs
+        # it, cannot start a pool while it bootstraps, and dies; the pool
+        # would replace it for ever
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('spawn', force=True)\n"
+            "from lrdcp import limitdist\n"
+            "spec = limitdist.LimitSimSpec(0.7, grid_size=100,\n"
+            "                              replications=1000)\n"
+            "print(limitdist.simulate_limit_values(spec).sum())\n"
+        )
+        # a run past 30 s raises TimeoutExpired
+        done = _run(str(script), timeout=30)
+        assert done.returncode != 0
+        assert len(done.stderr.encode()) < 64 * 1024
+        assert done.stderr.splitlines()[-1] == (
+            "ChildProcessError: a pool worker died during the map")

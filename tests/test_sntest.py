@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracle import kernel_gn, naive_gn_oracle
+from _oracle import kernel_gn, naive_gn_oracle, residual_gn
 from lrdcp import (
     FgnParams,
     TimeSeries,
@@ -328,6 +328,31 @@ class TestShapeConstants:
         tn_statistic(series)
         sn_cusum_statistic(series)
         assert rankstat._kept.cache_info() == before
+
+
+class TestLongSeriesAccuracy:
+    # the bound was fixed before the first run; the kernel's expanded
+    # normalizer cancels most when d is near linear in t, as under a
+    # large shift
+    BOUND = 1e-8
+
+    @pytest.mark.parametrize("ranked", [True, False], ids=["rank", "value"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_kernel_agrees_with_the_residual_form(self, n, delta, ranked):
+        x = sample_fgn_block(build_sampler(FgnParams(0.7, n)), 5, [0])
+        x[:, n // 2 :] += delta
+        if ranked:
+            x = rankstat.rankdata(x)
+        d, num_scale = rankstat.deviation_rows(x, ranked)
+        k_lo, k_hi = Window().split_range(n)
+        gn, _ = sntest._gn_matrix(d, k_lo, k_hi, num_scale)
+        rng = np.random.default_rng(n)
+        splits = [k_lo, k_hi, n // 2, *rng.integers(k_lo, k_hi + 1, 22)]
+        errors = [
+            abs(gn[0, k - k_lo] / residual_gn(d[0], k) - 1.0) for k in splits
+        ]
+        assert max(errors) < self.BOUND
 
 
 class TestOutlierRobustness:
