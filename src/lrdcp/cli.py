@@ -142,12 +142,20 @@ def _parse_lines(path, text):
     return np.array(values)
 
 
-def _seed_arg(text):
-    """argparse type of --seed: an integer in [0, 2**63)."""
-    try:
-        return check_seed(int(text), "seed")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _typed(convert):
+    """An argparse type: ``convert``, its ValueError a usage error."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+# --seed: an integer in [0, 2**63); --levels, --n: comma lists
+_seed_arg = _typed(lambda text: check_seed(int(text), "seed"))
+_levels_arg = _typed(lambda text: tuple(map(float, text.split(","))))
+_n_arg = _typed(lambda text: tuple(map(int, text.split(","))))
 
 
 def _write(text, out=None):
@@ -229,23 +237,14 @@ def cmd_generate_fgn(parser, args):
 
 
 def cmd_critical_values(parser, args):
-    try:
-        levels = tuple(float(part) for part in args.levels.split(","))
-    except ValueError:
-        parser.error(f"--levels must be a comma list of probabilities, "
-                     f"got {args.levels!r}")
     spec = _limit_spec(parser, args, grid_size=args.grid,
-                       replications=args.reps, levels=levels)
+                       replications=args.reps, levels=args.levels)
     _write(critical_values(spec).to_json(), args.out)
     return 0
 
 
 def cmd_experiment(parser, args):
     kind = _KIND_ALIASES[args.kind]
-    try:
-        n_list = [int(part) for part in str(args.n).split(",")]
-    except ValueError:
-        parser.error(f"--n must be an integer or comma list, got {args.n!r}")
     limit_spec = _limit_spec(parser, args, levels=(args.level,))
     specs = [
         _spec(
@@ -255,7 +254,7 @@ def cmd_experiment(parser, args):
             tau=args.tau, c=args.c, level=args.level,
             window=limit_spec.window, master_seed=args.seed,
         )
-        for n in n_list
+        for n in args.n
     ]
     cv_table, cv_source = _load_cv(args, limit_spec)
     results = run_experiments(specs, cv_table)
@@ -335,7 +334,7 @@ def build_parser():
     sub.add_argument("--grid", type=int, default=LimitSimSpec.grid_size)
     sub.add_argument("--reps", type=int, default=LimitSimSpec.replications)
     _add_window_flags(sub)
-    sub.add_argument("--levels", default=",".join(map(str, LimitSimSpec.levels)))
+    sub.add_argument("--levels", type=_levels_arg, default=LimitSimSpec.levels)
     sub.add_argument("--seed", type=_seed_arg)
     sub.add_argument("--out", help="write the table JSON here instead of stdout")
     sub.set_defaults(handler=cmd_critical_values)
@@ -344,7 +343,7 @@ def build_parser():
                               help="Monte Carlo experiment")
     sub.add_argument("--kind", required=True, choices=sorted(_KIND_ALIASES))
     sub.add_argument("--hurst", type=float, help="Hurst parameter in (0.5, 1)")
-    sub.add_argument("--n", required=True,
+    sub.add_argument("--n", type=_n_arg, required=True,
                      help="series length, or comma list for sweeps")
     sub.add_argument("--delta", type=float, default=ExperimentSpec.delta,
                      help="shift height (power/consistency)")

@@ -38,7 +38,7 @@ from .fgn import (
     is_real,
     sample_fgn_block,
 )
-from .sntest import TestWindow, batch_tn_from_values
+from .sntest import TestWindow, batch_tn_from_values, check_window
 
 GENERATOR_ID = "fgn-circulant-embedding/philox"
 
@@ -64,10 +64,15 @@ class LimitSimSpec:
         object.__setattr__(self, "replications", check_integer(
             self.replications, "replications (reps)", 100,
             REPLICATION_LIMIT + 1, "be >= 100 and <= 2**48"))
-        levels = tuple(self.levels)
+        check_window(self.window)
+        try:
+            levels = tuple(self.levels)
+        except TypeError:  # not iterable: None or one number
+            levels = ()
         if not levels or not all(is_real(lv) and 0.0 < lv < 1.0
                                  for lv in levels):
-            raise ValueError(f"levels must lie strictly in (0, 1), got {levels}")
+            raise ValueError(
+                f"levels must lie strictly in (0, 1), got {self.levels!r}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
 
@@ -92,9 +97,7 @@ class CriticalValueTable:
     def __post_init__(self):
         check_real(self.hurst, "critical-value table hurst", -math.inf,
                    math.inf, "be a number")
-        if not isinstance(self.window, TestWindow):
-            raise ValueError("critical-value table window must be a "
-                             f"TestWindow, got {self.window!r}")
+        check_window(self.window, "critical-value table window")
         object.__setattr__(self, "replications", check_integer(
             self.replications, "critical-value table reps", 0, math.inf,
             "be an integer >= 0"))

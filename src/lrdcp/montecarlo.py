@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgn import (REPLICATION_LIMIT, STREAM_EXPERIMENT, check_integer,
-                  check_real, check_seed)
+                  check_real, check_seed, is_real)
 from .limitdist import (
     LimitSimSpec,
     chunk_tasks,
@@ -37,7 +37,7 @@ from .limitdist import (
     limit_tasks,
     simulate_cells,
 )
-from .sntest import TestWindow
+from .sntest import TestWindow, check_window
 
 # not called here: they stay attributes of this module, where
 # bench/tracing.py wraps them; the chunks themselves run in limitdist
@@ -96,7 +96,7 @@ class ExperimentSpec:
                 f"{self.kind} experiments must have c = 0 (c scales the "
                 f"local_alternative shift)"
             )
-        self.window.split_range(self.n)
+        check_window(self.window).split_range(self.n)
         object.__setattr__(self, "master_seed", check_seed(self.master_seed))
 
     @property
@@ -231,10 +231,13 @@ TABLE_COLUMNS["table3"] = TABLE_COLUMNS["table4"] = (
 def table_replications(scale):
     """Replication count of each table's cells at ``scale``, floor 200.
 
-    The one check of ``scale``: raises ValueError unless it is positive
-    and finite and keeps every count within ``REPLICATION_LIMIT``.
+    The one check of ``scale``: raises ValueError unless it is a number
+    (not a bool), positive and finite, and keeps every count within
+    ``REPLICATION_LIMIT``.
     """
     full = {"critical_values": 10000, "size": 10000, "power": 5000}
+    if not is_real(scale):
+        raise ValueError(f"--scale must be a number, got {scale!r}")
     if not scale > 0.0:
         raise ValueError(f"--scale must be positive and finite, got {scale}")
     if not scale * max(full.values()) <= REPLICATION_LIMIT:

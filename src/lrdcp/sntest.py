@@ -68,6 +68,13 @@ class TestWindow:
         return k_lo, k_hi
 
 
+def check_window(window, name="window"):
+    """``window`` if it is a TestWindow, else ValueError naming ``name``."""
+    if not isinstance(window, TestWindow):
+        raise ValueError(f"{name} must be a TestWindow, got {window!r}")
+    return window
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one statistic evaluation over a window."""

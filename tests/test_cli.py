@@ -10,11 +10,11 @@ import subprocess
 import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _env import child_env
 from _oracle import read_series_oracle
 from lrdcp import _parallel, cli, limitdist
 from lrdcp.cli import main, read_series
@@ -229,15 +229,11 @@ class TestReadSeries:
     @staticmethod
     def _test_stdin(cv_file, **kwargs):
         """``lrdcp test --input /dev/stdin`` in a fresh interpreter."""
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         return subprocess.run(
             [sys.executable, "-m", "lrdcp.cli", "test", "--input",
              "/dev/stdin", "--hurst", "0.7", "--cv", str(cv_file)],
-            env=env, capture_output=True, text=True, timeout=60, **kwargs,
+            env=child_env(), capture_output=True, text=True, timeout=60,
+            **kwargs,
         )
 
     def test_stdin_from_file_or_pipe(self, data_file, cv_file, capsys):
@@ -1079,7 +1075,9 @@ class TestListArguments:
             main(["critical-values", "--hurst", "0.7", "--levels", "0.1,x"])
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("lrdcp: error: --levels must be a comma list")
+        assert last.startswith(
+            "lrdcp critical-values: error: argument --levels: ")
+        assert "'x'" in last
 
     def test_bad_n_entry_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1091,9 +1089,8 @@ class TestListArguments:
             )
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(
-            "lrdcp: error: --n must be an integer or comma list"
-        )
+        assert last.startswith("lrdcp experiment: error: argument --n: ")
+        assert "'abc'" in last
 
 
 class TestConfigChecks:
@@ -1126,20 +1123,30 @@ class TestConfigChecks:
         assert captured.out == ""
         assert captured.err == f"error: bad config {cfg}: repeats key 'level'\n"
 
-    def test_bad_value_fails_when_its_flag_is_typed(self, data_file, cv_file,
+    @pytest.mark.parametrize(
+        "key, value, argv",
+        [
+            ("level", "abc", ["test", "--input", "<data>", "--hurst", "0.7",
+                              "--level", "0.1", "--cv", "<cv>"]),
+            ("levels", "x", ["critical-values", "--hurst", "0.7",
+                             "--levels", "0.1"]),
+            ("n", "50,abc", ["experiment", "--kind", "size", "--hurst", "0.7",
+                             "--n", "50"]),
+        ],
+        ids=["level", "levels", "n"],
+    )
+    def test_bad_value_fails_when_its_flag_is_typed(self, key, value, argv,
+                                                    data_file, cv_file,
                                                     tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"level": "abc"}))
+        cfg.write_text(json.dumps({key: value}))
+        files = {"<data>": str(data_file), "<cv>": str(cv_file)}
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "--config", str(cfg), "test", "--input", str(data_file),
-                    "--hurst", "0.7", "--level", "0.1", "--cv", str(cv_file),
-                ]
-            )
+            main(["--config", str(cfg),
+                  *(files.get(arg, arg) for arg in argv)])
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"lrdcp: error: config {cfg}: level:")
+        assert last.startswith(f"lrdcp: error: config {cfg}: {key}:")
 
     @pytest.mark.parametrize(
         "value, outcome",
@@ -1387,8 +1394,7 @@ class TestParser:
             == (1000, 10000, 0.15, 0.85)
         assert (table["grid"], table["reps"]) \
             == (LimitSimSpec.grid_size, LimitSimSpec.replications)
-        levels = tuple(float(part) for part in table["levels"].split(","))
-        assert levels == (0.1, 0.05, 0.01) == LimitSimSpec.levels
+        assert table["levels"] == (0.1, 0.05, 0.01) == LimitSimSpec.levels
         run = parsed("experiment", "--kind", "size", "--n", "50")
         assert (run["level"], run["tau"], run["delta"], run["c"],
                 run["reps"]) == (0.05, 0.5, 0.0, 0.0, 5000)

@@ -11,7 +11,7 @@ from lrdcp import _parallel
 from lrdcp import FgnParams, build_sampler, fgn_autocovariance
 from lrdcp import sample_fgn, sample_fgn_block
 from lrdcp.limitdist import CriticalValueTable, LimitSimSpec
-from lrdcp.montecarlo import ExperimentSpec
+from lrdcp.montecarlo import ExperimentSpec, table_replications
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 
 
@@ -83,6 +83,7 @@ REAL_FIELDS = {
         0.7, Window(), {v: 8.4}),
     "CriticalValueTable-value": lambda v: CriticalValueTable(
         0.7, Window(), {0.05: v}),
+    "table_replications-scale": table_replications,
 }
 
 
@@ -96,6 +97,28 @@ def test_real_field_refuses_non_number(make, value):
         make(value)
     assert repr(value) in str(excinfo.value)
     assert "\n" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LimitSimSpec(0.7, levels=None), "levels must lie strictly "
+         "in (0, 1), got None"),
+        (lambda: LimitSimSpec(0.7, levels=0.05), "levels must lie strictly "
+         "in (0, 1), got 0.05"),
+        (lambda: LimitSimSpec(0.7, window=(0.1, 0.9)),
+         "window must be a TestWindow, got (0.1, 0.9)"),
+        (lambda: ExperimentSpec("size", 0.7, 100, 100, window=(0.1, 0.9)),
+         "window must be a TestWindow, got (0.1, 0.9)"),
+    ],
+    ids=["levels-none", "levels-number", "LimitSimSpec-window",
+         "ExperimentSpec-window"],
+)
+def test_field_of_the_wrong_kind_is_refused(make, message):
+    # one ValueError, never a TypeError or AttributeError from later use
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
 
 
 class TestBuildSampler:

@@ -79,6 +79,9 @@ class TestSpecValidation:
     def test_level_bounds(self):
         with pytest.raises(ValueError, match="levels"):
             LimitSimSpec(0.7, levels=(0.05, 1.5))
+        # any iterable of levels is taken, and stored as a tuple
+        for levels in ([0.1, 0.05], np.array([0.1, 0.05])):
+            assert LimitSimSpec(0.7, levels=levels).levels == (0.1, 0.05)
 
     @pytest.mark.parametrize("value", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
     @pytest.mark.parametrize(

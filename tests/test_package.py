@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from _env import child_env
 import lrdcp
 from lrdcp import _parallel, cli, limitdist, montecarlo, sntest
 
@@ -16,14 +17,9 @@ TRACING = REPO / "bench" / "tracing.py"
 
 
 def test_import_leaves_scipy_unloaded():
-    env = dict(os.environ)
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     code = "import sys, lrdcp, lrdcp.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -32,14 +28,9 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_numpy_random_unloaded():
     # the pool loads numpy.random just before forking; importing must not
-    env = dict(os.environ)
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     code = "import sys, lrdcp, lrdcp.cli; print('numpy.random' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -48,15 +39,10 @@ def test_import_leaves_numpy_random_unloaded():
 
 def test_import_leaves_multiprocessing_unloaded():
     # only a map that forks a pool needs it; `lrdcp test --cv` never does
-    env = dict(os.environ)
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     code = ("import sys, lrdcp, lrdcp.cli; "
             "print('multiprocessing' in sys.modules)")
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -65,11 +51,6 @@ def test_import_leaves_multiprocessing_unloaded():
 
 def test_import_builds_no_parser():
     # the CLI's parser is built on first use, so importing stays cheap
-    env = dict(os.environ)
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     code = (
         "import argparse, shutil, sys\n"
         "calls = []\n"
@@ -85,7 +66,7 @@ def test_import_builds_no_parser():
         "      'secrets' in sys.modules)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
+        [sys.executable, "-c", code], env=child_env(), capture_output=True,
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -95,19 +76,14 @@ def test_import_builds_no_parser():
 
 def test_tables_leave_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma; the Monte Carlo aggregates do not need it
-    env = dict(os.environ, LRD_CP_THREADS="1")
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     code = (
         "import sys; from lrdcp import reproduce_tables; "
         f"reproduce_tables({str(tmp_path)!r}, scale=0.002); "
         "print('numpy.ma' in sys.modules)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, "-c", code], env=child_env(LRD_CP_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -9,11 +9,10 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import lrdcp
+from _env import child_env
 from lrdcp import _parallel, limitdist, sntest
 
 
@@ -45,14 +44,9 @@ def _fail_or_sleep(task):
 
 def _run(*args, timeout=60):
     """Run the interpreter on ``args`` with two workers; its outcome."""
-    env = dict(os.environ, LRD_CP_THREADS="2")
-    src = str(Path(lrdcp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, *args], env=child_env(LRD_CP_THREADS="2"),
+        capture_output=True, text=True, timeout=timeout,
     )
 
 

@@ -434,6 +434,9 @@ FLAG_VALUES = {
     float: st.floats(allow_nan=False, allow_infinity=False),
     int: st.integers(-(2**70), 2**70),
     cli._seed_arg: st.integers(0, 2**63 - 1),
+    cli._levels_arg: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+        max_size=4).map(lambda values: ",".join(map(repr, values))),
     None: st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
 }
 OPTIONAL_FLAGS = [
