@@ -17,7 +17,7 @@ from .fgn import (
     sample_fgn,
     sample_fgn_block,
 )
-from .rankstat import RankProfile, TimeSeries, build_profile
+from .rankstat import TimeSeries, build_profile
 from .sntest import TestResult, TestWindow, sn_cusum_statistic, tn_statistic
 from .limitdist import (
     CriticalValueTable,
@@ -45,7 +45,6 @@ __all__ = [
     "fgn_autocovariance",
     "sample_fgn",
     "sample_fgn_block",
-    "RankProfile",
     "TimeSeries",
     "build_profile",
     "TestResult",

@@ -21,6 +21,7 @@ draw one and record it in the output, so every run is replayable.
 
 import argparse
 import codecs
+import errno
 import functools
 import io
 import json
@@ -166,6 +167,12 @@ def _write(text, out=None):
         sys.stdout.write(text)
 
 
+def _check_out(out):
+    """Raise now what ``open(out, "w")`` would if out's directory is missing."""
+    if out and not os.path.exists(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _emit(payload, out=None):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
@@ -198,6 +205,7 @@ def cmd_test(parser, args):
     spec = _limit_spec(parser, args, levels=(args.level,))
     series = read_series(args.input)
     spec.window.split_range(series.n)  # too short: fails before simulating
+    _check_out(args.out)
     cv_table, cv_source = _load_cv(args, spec)
     cv = cv_table.critical_value(args.level)
     result = tn_statistic(series, spec.window, critical_value=cv)
@@ -239,6 +247,7 @@ def cmd_generate_fgn(parser, args):
 def cmd_critical_values(parser, args):
     spec = _limit_spec(parser, args, grid_size=args.grid,
                        replications=args.reps, levels=args.levels)
+    _check_out(args.out)
     _write(critical_values(spec).to_json(), args.out)
     return 0
 
@@ -256,6 +265,7 @@ def cmd_experiment(parser, args):
         )
         for n in args.n
     ]
+    _check_out(args.out)
     cv_table, cv_source = _load_cv(args, limit_spec)
     results = run_experiments(specs, cv_table)
 

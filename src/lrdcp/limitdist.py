@@ -178,7 +178,7 @@ class CriticalValueTable:
         """Parse ``to_json`` output; a malformed payload raises ValueError.
 
         Here: JSON with no key repeated in one object, an object with every
-        required key, a valid window of two numbers, and quantile keys that
+        required key, a valid window of two values, and quantile keys that
         read as numbers, one key per level.  The class checks the rest.
         """
         try:
@@ -192,8 +192,7 @@ class CriticalValueTable:
             if key not in payload:
                 raise ValueError(f"critical-value table lacks key {key!r}")
         window = payload["window"]
-        if not (isinstance(window, list) and len(window) == 2
-                and all(map(is_real, window))):
+        if not (isinstance(window, list) and len(window) == 2):
             raise ValueError(
                 f"critical-value table window must be two numbers, got {window!r}"
             )

@@ -21,7 +21,7 @@ key order, which for tied values is already their sorted order.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,22 +54,6 @@ class TimeSeries:
     @property
     def n(self):
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Rank deviation profile d of one series, and whether it has ties.
-
-    ``d`` has length n+1 and is indexed by the time index k = 0..n so
-    formulas read like the math; d[0] = 0.
-    """
-
-    d: np.ndarray = field(repr=False)
-    tie_flag: bool
-
-    @property
-    def n(self):
-        return self.d.shape[0] - 1
 
 
 # shape constants of blocks within BLOCK_BYTES: the last 32 keys, read-only
@@ -213,7 +197,11 @@ def deviation_rows(x, ranked):
 
 
 def build_profile(series):
-    """The RankProfile of a series: one sort, one cumulative sum."""
+    """Rank deviation profile d of a series, and whether it has ties.
+
+    One sort, one cumulative sum.  ``d`` has length n+1 and is indexed
+    by the time index k = 0..n so formulas read like the math; d[0] = 0.
+    """
     ranks, tied = _midranks(series.values)
     d, _ = deviation_rows(ranks[np.newaxis], ranked=True)
-    return RankProfile(d[0], bool(tied))
+    return d[0], bool(tied)

@@ -250,10 +250,9 @@ def _result_from_deviations(d, window, tie_flag, critical_value,
 
 def tn_statistic(series, window=TestWindow(), critical_value=None):
     """T_n over the window: the self-normalized Wilcoxon test statistic."""
-    profile = build_profile(series)
-    return _result_from_deviations(
-        profile.d[np.newaxis], window, profile.tie_flag, critical_value
-    )
+    d, tie_flag = build_profile(series)
+    return _result_from_deviations(d[np.newaxis], window, tie_flag,
+                                   critical_value)
 
 
 def sn_cusum_statistic(series, window=TestWindow(), critical_value=None):

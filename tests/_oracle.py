@@ -57,7 +57,7 @@ def kernel_gn(series, k_lo=1, k_hi=None):
     as ``tn_statistic`` sends it.
     """
     n = series.n
-    d = build_profile(series).d[np.newaxis]
+    d = build_profile(series)[0][np.newaxis]
     gn, _ = _gn_matrix(d, k_lo, n - 1 if k_hi is None else k_hi)
     return gn[0]
 

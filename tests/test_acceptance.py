@@ -133,7 +133,7 @@ def test_criterion_06_rank_cusum_double_sum_identity():
     for _ in range(1000):
         n = int(rng.integers(5, 201))
         x = rng.normal(size=n)
-        d = build_profile(TimeSeries(x)).d
+        d, _ = build_profile(TimeSeries(x))
         less = (x[:, None] < x[None, :]).astype(np.float64) - 0.5
         np.fill_diagonal(less, 0.0)
         # W_k = sum_{i<=k} sum_{j>k} (1{X_i < X_j} - 1/2), exact dyadic sums

@@ -368,6 +368,13 @@ class TestGenerateFgn:
         assert "hurst must lie in (0, 1)" in last
 
 
+TEST_PAYLOAD_KEYS = {
+    "n", "hurst", "window", "statistic", "argmax_k", "level",
+    "critical_value", "reject", "tie_warning", "degenerate_split",
+    "cv_source",
+}
+
+
 class TestTestCommand:
     def test_round_trip_with_cv_file(self, data_file, cv_file, capsys):
         code = main(
@@ -382,7 +389,7 @@ class TestTestCommand:
         assert payload["statistic"] > 0.0
         assert isinstance(payload["reject"], bool)
         assert payload["cv_source"] == "file"
-        assert "cv_seed" not in payload
+        assert set(payload) == TEST_PAYLOAD_KEYS
 
     def test_hurst_required_and_bounded(self, data_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -813,6 +820,30 @@ class TestExperimentCommand:
         assert "power experiments must have delta != 0" in last
 
 
+class TestOutDirectory:
+    """A missing --out directory fails before any table is read or simulated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--input", "<data>", "--hurst", "0.7", "--seed", "1"],
+        ["critical-values", "--hurst", "0.7", "--reps", "2000", "--seed", "1"],
+        ["experiment", "--kind", "power", "--delta", "1", "--hurst", "0.7",
+         "--n", "500", "--reps", "2000", "--seed", "1"],
+    ], ids=["test", "critical-values", "experiment"])
+    def test_missing_out_directory_fails_before_simulating(
+            self, argv, data_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("critical_values", "run_experiments"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+        out = tmp_path / "missing" / "x.out"
+        argv = [str(data_file) if arg == "<data>" else arg for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: '{out}'"
+        )
+        assert not (tmp_path / "missing").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaulted_flags(self, data_file, cv_file, tmp_path,
                                               capsys):
@@ -881,6 +912,7 @@ class TestConfigNull:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cv_source"] == "simulated"
         assert isinstance(payload["cv_seed"], int)
+        assert set(payload) == TEST_PAYLOAD_KEYS | {"cv_seed"}
 
 
 class TestSeedArgument:

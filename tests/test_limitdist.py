@@ -331,6 +331,9 @@ class TestTableValidation:
              "one level by two keys"),
             (lambda p: {**p, "window": [0.85, 0.15]},
              "critical-value table window"),
+            (lambda p: {**p, "window": ["a", 0.5]},
+             r"^critical-value table window must satisfy 0 < tau1 < tau2 < 1, "
+             r"got \('a', 0\.5\)$"),
         ],
         ids=[
             "top-level-list", "missing-key", "string-hurst", "short-window",
@@ -339,7 +342,7 @@ class TestTableValidation:
             "negative-grid", "float-grid", "float-seed", "negative-seed",
             "seed-above-range", "whole-float-reps", "boolean-grid",
             "boolean-seed", "number-generator", "level-spelled-twice",
-            "reversed-window",
+            "reversed-window", "word-in-window",
         ],
     )
     def test_malformed_payload_raises_value_error(self, change, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lrdcp import RankProfile, TimeSeries, build_profile
+from lrdcp import TimeSeries, build_profile
 from lrdcp.rankstat import _midranks, deviation_rows, rankdata
 
 
@@ -146,58 +146,58 @@ class TestRankdata:
             n = int(rng.integers(4, 60))
             x = rng.integers(0, 2 * n, size=n).astype(np.float64)
             expected = np.unique(x).shape[0] < n
-            assert build_profile(TimeSeries(x)).tie_flag == expected
+            assert build_profile(TimeSeries(x))[1] == expected
 
 
 class TestBuildProfile:
     def test_increasing_run_deviations(self):
-        profile = build_profile(TimeSeries([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(profile.d[1:], [1.5, 2.0, 1.5, 0.0])
-        assert not profile.tie_flag
+        d, tie_flag = build_profile(TimeSeries([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(d[1:], [1.5, 2.0, 1.5, 0.0])
+        assert not tie_flag
 
     def test_index_conventions(self):
-        profile = build_profile(TimeSeries([4.0, 2.0, 3.0, 1.0]))
+        d, _ = build_profile(TimeSeries([4.0, 2.0, 3.0, 1.0]))
         # d is indexed by k = 0..n and opens with the empty sum
-        assert profile.d.shape == (5,)
-        assert profile.d[0] == 0.0
+        assert d.shape == (5,)
+        assert d[0] == 0.0
 
     def test_matches_pairwise_double_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(4, 40))
             x = rng.normal(size=n)
-            profile = build_profile(TimeSeries(x))
-            assert np.array_equal(profile.d, brute_two_sample_sums(x))
+            d, _ = build_profile(TimeSeries(x))
+            assert np.array_equal(d, brute_two_sample_sums(x))
 
     def test_double_sum_with_ties(self):
         x = np.array([2.0, 2.0, 1.0, 3.0, 2.0, 0.0])
-        profile = build_profile(TimeSeries(x))
-        assert np.array_equal(profile.d, brute_two_sample_sums(x))
-        assert profile.tie_flag
+        d, tie_flag = build_profile(TimeSeries(x))
+        assert np.array_equal(d, brute_two_sample_sums(x))
+        assert tie_flag
 
     def test_final_deviation_vanishes(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.normal(size=int(rng.integers(4, 100)))
-            assert build_profile(TimeSeries(x)).d[-1] == 0.0
+            assert build_profile(TimeSeries(x))[0][-1] == 0.0
 
     def test_constant_series_is_degenerate(self):
-        profile = build_profile(TimeSeries(np.full(12, 3.25)))
-        assert np.all(profile.d == 0.0)
-        assert profile.tie_flag
+        d, tie_flag = build_profile(TimeSeries(np.full(12, 3.25)))
+        assert np.all(d == 0.0)
+        assert tie_flag
 
     def test_profile_depends_only_on_ranks(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=80)
-        base = build_profile(TimeSeries(x))
+        base, _ = build_profile(TimeSeries(x))
         for transform in (np.exp, np.arctan, lambda v: v**3 + 2 * v):
-            other = build_profile(TimeSeries(transform(x)))
-            assert np.array_equal(base.d, other.d)
+            other, _ = build_profile(TimeSeries(transform(x)))
+            assert np.array_equal(base, other)
 
     def test_profile_reports_length(self):
-        profile = build_profile(TimeSeries(np.arange(9.0)))
-        assert profile.n == 9
-        assert isinstance(profile, RankProfile)
+        d, tie_flag = build_profile(TimeSeries(np.arange(9.0)))
+        assert d.shape == (10,)
+        assert tie_flag is False
 
 
 def value_profile(x):
@@ -223,6 +223,6 @@ class TestDeviationProfile:
 
     def test_rank_input_reproduces_rank_deviations(self):
         x = np.random.default_rng(6).normal(size=25)
-        profile = build_profile(TimeSeries(x))
-        assert value_profile(rankdata(x)) == pytest.approx(profile.d)
+        d, _ = build_profile(TimeSeries(x))
+        assert value_profile(rankdata(x)) == pytest.approx(d)
 
