@@ -235,6 +235,7 @@ def cmd_test(parser, args):
 
 def cmd_generate_fgn(parser, args):
     params = _spec(parser, FgnParams, args.hurst, args.length)
+    _check_out(args.out)
     values = sample_fgn(build_sampler(params), args.seed)
     np.savetxt(args.out, values, fmt="%.17g")
     _emit(

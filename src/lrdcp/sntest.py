@@ -15,9 +15,9 @@ in prefix sums of d; the whole scan is O(n) after ranking.
 
 ``_gn_matrix`` is the one G_n implementation: batches of rows and single
 series (a batch of one) both go through it, with d from
-``rankstat.deviation_rows``.  An independent O(n^2) transcription of the
-definition, ``naive_gn_oracle`` in ``tests/_oracle.py``, is the oracle the
-kernel must agree with to floating-point accuracy.
+``rankstat.deviation_rows``.  In ``tests/_oracle.py``, ``naive_gn_oracle``
+(an O(n^2) transcription of the definition) checks it to floating-point
+accuracy, and ``expanded_gn`` (the expanded algebra) checks its bits.
 """
 
 import math
@@ -90,14 +90,17 @@ class TestResult:
 
 
 def _gn_constants(n, k_lo, k_hi):
-    """t = 0..k_hi and n - t for t = 0..n; over the window, k, n - k and
-    the closed forms of sum_{t<=k} t^2 and sum_{t>k} (n-t)^2."""
+    """t = 0..k_hi and n - t for t = 0..n; over the window, k/2, (n-k)/2,
+    sum_{t<=k} t^2 / 4 and sum_{t>k} (n-t)^2 / 4, the sums in closed form.
+    Powers of two scale exactly, so d_k / (k/2) = 2 d_k/k and
+    (2 d_k/k)^2 (sum t^2 / 4) = (d_k/k)^2 sum t^2 bit for bit away from
+    overflow and subnormals: these constants change no bit of G_n."""
     t = np.arange(n + 1, dtype=np.float64)
     kf = np.arange(k_lo, k_hi + 1).astype(np.float64)
     mf = n - kf
     sum_tsq = kf * (kf + 1.0) * (2.0 * kf + 1.0) / 6.0
     sum_msq = (mf - 1.0) * mf * (2.0 * mf - 1.0) / 6.0
-    return t[: k_hi + 1], n - t, kf, mf, sum_tsq, sum_msq
+    return t[: k_hi + 1], n - t, kf / 2, mf / 2, sum_tsq / 4, sum_msq / 4
 
 
 def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
@@ -121,57 +124,53 @@ def _gn_matrix(d, k_lo, k_hi, num_scale=0.0):
     the rule.
     """
     n = d.shape[1] - 1
-    t_head, n_minus_t, kf, mf, sum_tsq, sum_msq = _shape_constants(
+    t_head, n_minus_t, half_k, half_m, tsq_4, msq_4 = _shape_constants(
         (len(d), n), _gn_constants, n, k_lo, k_hi)
     window = slice(k_lo, k_hi + 1)
     dk = d[:, window]
-    # with m = n - k, the two halves of the normalizer expand to
-    #   first  = sum_{t<=k} d^2 - 2 (d_k/k) sum_{t<=k} t d + (d_k/k)^2 sum t^2
-    #   second = sum_{t>k} d^2 - 2 (d_k/m) sum_{t>k} (n-t) d + (d_k/m)^2 sum (n-t)^2
+    # with m = n - k, s = 2 d_k/k and u = 2 d_k/m (exact from the halved
+    # constants of _gn_constants), the two halves of the normalizer are
+    #   first  = sum_{t<=k} d^2 - s sum_{t<=k} t d + s^2 (sum t^2 / 4)
+    #   second = sum_{t>k} d^2 - u sum_{t>k} (n-t) d + u^2 (sum (n-t)^2 / 4)
     # evaluated left to right into reused buffers: each element sees the
     # same operations in the same order whatever buffer holds it
     run = np.empty_like(d)  # running sums of one profile moment at a time
     head = run[:, : k_hi + 1]  # sum_{t<=k} t d is read only up to k_hi
     np.multiply(t_head, d[:, : k_hi + 1], out=head)
     np.cumsum(head, axis=-1, out=head)
-    scaled = np.divide(dk, kf)
-    first = np.multiply(2.0, scaled)
-    first *= run[:, window]
+    scaled = np.divide(dk, half_k)
+    first = np.multiply(scaled, run[:, window])
     np.multiply(d, d, out=run)
     np.cumsum(run, axis=-1, out=run)
     np.subtract(run[:, window], first, out=first)
     # suffix sums: sum_{t>k} = total - sum_{t<=k}; k_hi < n, so the
     # window never overlaps the total's column
     second = np.subtract(run[:, -1:], run[:, window])
-    term = np.square(scaled)
-    term *= sum_tsq
-    first += term
-    np.divide(dk, mf, out=scaled)
+    np.square(scaled, out=scaled)
+    scaled *= tsq_4
+    first += scaled
+    np.divide(dk, half_m, out=scaled)
     np.multiply(n_minus_t, d, out=run)
     np.cumsum(run, axis=-1, out=run)
     suffix_md = run[:, window]
     np.subtract(run[:, -1:], suffix_md, out=suffix_md)
-    np.multiply(2.0, scaled, out=term)
-    term *= suffix_md
-    second -= term
-    np.square(scaled, out=term)
-    term *= sum_msq
-    second += term
+    suffix_md *= scaled
+    second -= suffix_md
+    np.square(scaled, out=scaled)
+    scaled *= msq_4
+    second += scaled
     denom = first
     denom += second
 
     abs_dk = np.abs(dk, out=scaled)
     np.divide(denom, n, out=second)
-    np.sqrt(second, out=second)
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(second, out=second)
         gn = np.divide(abs_dk, second, out=second)
     peak = abs_dk.max()
     if denom.min() >= (peak * peak + 1.0) * (DEN_TOL * n):
         return gn, np.zeros(len(d), dtype=bool)
-    np.multiply(dk, dk, out=term)
-    term += 1.0
-    term *= DEN_TOL * n
-    degenerate = denom < term
+    degenerate = denom < (dk * dk + 1.0) * (DEN_TOL * n)
     flags = degenerate.any(axis=-1)
     if flags.any():
         num_tol = NUM_TOL * (1.0 + np.asarray(num_scale, dtype=np.float64))

@@ -1,6 +1,7 @@
 """Direct O(n^2) oracle for G_n(k) and the kernel values it is checked
-against, a long-double residual form of G_n(k) for long series, the
-per-line reference for the CLI's series reader, and a
+against, the expanded normalizer written as the algebra reads (the
+kernel's bits), a long-double residual form of G_n(k) for long series,
+the per-line reference for the CLI's series reader, and a
 Cholesky fGn sampler independent of the package's circulant draw."""
 
 import math
@@ -10,7 +11,7 @@ import scipy.linalg
 
 from lrdcp.fgn import fgn_autocovariance
 from lrdcp.rankstat import TimeSeries, build_profile
-from lrdcp.sntest import DEN_TOL, _gn_matrix
+from lrdcp.sntest import DEN_TOL, NUM_TOL, _gn_matrix
 
 
 def naive_gn_oracle(series, k):
@@ -60,6 +61,48 @@ def kernel_gn(series, k_lo=1, k_hi=None):
     d = build_profile(series)[0][np.newaxis]
     gn, _ = _gn_matrix(d, k_lo, n - 1 if k_hi is None else k_hi)
     return gn[0]
+
+
+def expanded_gn(d, k_lo, k_hi, num_scale=0.0):
+    """G_n(k), k = k_lo..k_hi, of each row of a (batch, n+1) profile d,
+    and a per-row flag for splits where the degenerate rule fired.
+
+    The normalizer is written as the algebra reads, with m = n - k and
+    the prefix sums C = cumsum(d^2), B = cumsum(t d), D = cumsum((n-t) d),
+    S = cumsum(t^2) and R = cumsum((n-t)^2):
+
+        (C_k - 2 (d_k/k) B_k) + (d_k/k)^2 S_k
+        + ((C_n - C_k) - 2 (d_k/m) (D_n - D_k)) + (d_k/m)^2 (R_n - R_k)
+
+    then |d_k| / sqrt(denom / n), with the degenerate rule applied at
+    every split.  These are the floating-point operations of
+    ``_gn_matrix`` in its order, so the kernel must return these bits:
+    its reused buffers, halved constants and block-wide bound on the
+    degenerate rule may change none of them.  S and R are sums of
+    integers, exact while 2 n^3 < 2^53, as are the kernel's closed forms.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    n = d.shape[1] - 1
+    t = np.arange(n + 1, dtype=np.float64)
+    window = slice(k_lo, k_hi + 1)
+    k, m, dk = t[window], n - t[window], d[:, window]
+    C = np.cumsum(d * d, axis=-1)
+    B = np.cumsum(t * d, axis=-1)
+    D = np.cumsum((n - t) * d, axis=-1)
+    S = np.cumsum(t * t)
+    R = np.cumsum((n - t) * (n - t))
+    first = (C[:, window] - 2 * (dk / k) * B[:, window]) \
+        + (dk / k) ** 2 * S[window]
+    second = ((C[:, -1:] - C[:, window])
+              - 2 * (dk / m) * (D[:, -1:] - D[:, window])) \
+        + (dk / m) ** 2 * (R[-1] - R[window])
+    denom = first + second
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gn = np.abs(dk) / np.sqrt(denom / n)
+    degenerate = denom < (dk * dk + 1.0) * (DEN_TOL * n)
+    num_tol = NUM_TOL * (1.0 + np.asarray(num_scale, dtype=np.float64))
+    gn = np.where(degenerate, np.where(np.abs(dk) > num_tol, np.inf, 0.0), gn)
+    return gn, degenerate.any(axis=-1)
 
 
 def residual_gn(d, k):

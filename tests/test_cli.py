@@ -821,18 +821,20 @@ class TestExperimentCommand:
 
 
 class TestOutDirectory:
-    """A missing --out directory fails before any table is read or simulated."""
+    """A missing --out directory fails before any table is read, simulated
+    or drawn."""
 
     @pytest.mark.parametrize("argv", [
         ["test", "--input", "<data>", "--hurst", "0.7", "--seed", "1"],
         ["critical-values", "--hurst", "0.7", "--reps", "2000", "--seed", "1"],
         ["experiment", "--kind", "power", "--delta", "1", "--hurst", "0.7",
          "--n", "500", "--reps", "2000", "--seed", "1"],
-    ], ids=["test", "critical-values", "experiment"])
+        ["generate-fgn", "--hurst", "0.7", "--length", "1000", "--seed", "1"],
+    ], ids=["test", "critical-values", "experiment", "generate-fgn"])
     def test_missing_out_directory_fails_before_simulating(
             self, argv, data_file, tmp_path, monkeypatch, capsys):
         calls = []
-        for name in ("critical_values", "run_experiments"):
+        for name in ("critical_values", "run_experiments", "sample_fgn"):
             monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
         out = tmp_path / "missing" / "x.out"
         argv = [str(data_file) if arg == "<data>" else arg for arg in argv]

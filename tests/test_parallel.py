@@ -351,8 +351,14 @@ class TestDeadWorker:
             "print(limitdist.simulate_limit_values(spec).sum())\n"
         )
         # a run past 30 s raises TimeoutExpired
+        start = time.perf_counter()
         done = _run(str(script), timeout=30)
-        assert done.returncode != 0
-        assert len(done.stderr.encode()) < 64 * 1024
-        assert done.stderr.splitlines()[-1] == (
-            "ChildProcessError: a pool worker died during the map")
+        seconds = time.perf_counter() - start
+        size = len(done.stderr.encode())
+        lines = done.stderr.splitlines()
+        why = (f"exit {done.returncode} after {seconds:.1f} s with {size} "
+               f"bytes of stderr, ending:\n" + "\n".join(lines[-20:]))
+        assert done.returncode != 0, why
+        assert size < 64 * 1024, why
+        assert lines[-1:] == [
+            "ChildProcessError: a pool worker died during the map"], why

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from _oracle import naive_gn_oracle, read_series_oracle
-from lrdcp import _parallel, cli, limitdist, sntest
+from _oracle import expanded_gn, naive_gn_oracle, read_series_oracle
+from lrdcp import _parallel, cli, limitdist, rankstat, sntest
 from lrdcp.fgn import FgnParams, build_sampler, sample_fgn_block
 from lrdcp.rankstat import TimeSeries, _midranks, rankdata
 from lrdcp.sntest import batch_tn_from_values
@@ -98,6 +98,66 @@ def tied_batches(draw):
     return x, k_lo, k_hi
 
 
+def magnitudes(low, high):
+    """Floats that are 0 or of magnitude in [low, high], either sign."""
+    return st.one_of(st.just(0.0), st.floats(low, high),
+                     st.floats(-high, -low))
+
+
+# magnitudes 0 or in [1e-6, 1e3], so every x * 2**e with |e| <= 1000 is
+# an exact, normal float
+SCALABLE = magnitudes(1e-6, 1e3)
+
+
+# Kernel and oracle differ only by powers of two: the kernel divides d_k
+# by k/2 where the oracle doubles d_k/k, and multiplies the square of
+# that by sum t^2 / 4.  Those scalings are exact unless a value leaves
+# the normal range: (2 d_k/k)^2 overflows first once |d_k/k| nears 7e153,
+# and a subnormal d_k/k or square rounds on a coarser grid.  The profiles
+# drawn here stay far inside it, as the package's do: rank profiles are
+# half-integers below n^2, fGn rows get a scale and an offset that are 0
+# or of magnitude 1e-3 to 1e3 and 1e6, and CUSUM rows are scaled to a
+# unit range from SCALABLE values.
+@st.composite
+def kernel_profiles(draw):
+    """A (rows, n+1) deviation profile as the package builds one, its
+    numerator noise floor and a split range in [1, n-1].
+
+    Rank profiles of values over an alphabet of 1 to n values, so with
+    ties and constant rows; value profiles of fGn rows under a drawn scale
+    and offset; or the CUSUM profile of ``sn_cusum_statistic``: one
+    series scaled by ``_unit_scaled``, less its median element.
+    """
+    n = draw(st.integers(8, 200))
+    rows = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["rank", "fgn", "cusum"]))
+    if kind == "rank":
+        alphabet = draw(st.integers(1, n))
+        x = draw(arrays(np.float64, (rows, n),
+                        elements=st.integers(0, alphabet - 1).map(float)))
+        d, num_scale = rankstat.deviation_rows(rankdata(x), True)
+    elif kind == "fgn":
+        params = FgnParams(draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])), n)
+        x = sample_fgn_block(build_sampler(params),
+                             draw(st.integers(0, 2**32 - 1)), range(rows))
+        x = x * draw(magnitudes(1e-3, 1e3)) + draw(magnitudes(1e-3, 1e6))
+        d, num_scale = rankstat.deviation_rows(x, False)
+    else:
+        v = sntest._unit_scaled(draw(arrays(np.float64, n,
+                                            elements=SCALABLE)))
+        v -= np.partition(v, n // 2)[n // 2]
+        d, num_scale = rankstat.deviation_rows(v[np.newaxis], False)
+    k_lo = draw(st.integers(1, n - 1))
+    return d, k_lo, draw(st.integers(k_lo, n - 1)), num_scale
+
+
+def assert_expanded_bits(d, k_lo, k_hi, num_scale):
+    gn, flags = sntest._gn_matrix(d, k_lo, k_hi, num_scale)
+    expected, expected_flags = expanded_gn(d, k_lo, k_hi, num_scale)
+    assert gn.tobytes() == expected.tobytes()
+    assert flags.tobytes() == expected_flags.tobytes()
+
+
 class TestKernelProperties:
     @PROPERTY
     @given(tied_batches())
@@ -108,6 +168,23 @@ class TestKernelProperties:
             expected = max(naive_gn_oracle(row, k)
                            for k in range(k_lo, k_hi + 1))
             assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @PROPERTY
+    @given(kernel_profiles())
+    def test_kernel_has_the_expanded_forms_bits(self, case):
+        d, k_lo, k_hi, num_scale = case
+        assert_expanded_bits(d, k_lo, k_hi, num_scale)
+
+    @pytest.mark.parametrize("ranked", [True, False], ids=["rank", "value"])
+    def test_long_row_builds_its_own_constants(self, ranked):
+        n = _parallel.BLOCK_BYTES // 8  # its (1, n+1) profile is too big
+        x = sample_fgn_block(build_sampler(FgnParams(0.7, n)), 5, [0])
+        d, num_scale = rankstat.deviation_rows(
+            rankdata(x) if ranked else x, ranked)
+        before = rankstat._kept.cache_info()
+        assert_expanded_bits(d, *sntest.TestWindow().split_range(n),
+                             num_scale)
+        assert rankstat._kept.cache_info() == before
 
 
 @st.composite
@@ -130,11 +207,6 @@ def increasing_images(draw):
     return x, image[np.searchsorted(support, x)], draw(
         st.integers(-(2**40), 2**40))
 
-
-# magnitudes 0 or in [1e-6, 1e3], so every x * 2**e with |e| <= 1000 is
-# an exact, normal float
-SCALABLE = st.one_of(st.just(0.0), st.floats(1e-6, 1e3),
-                     st.floats(-1e3, -1e-6))
 
 
 def _same_result(a, b):
