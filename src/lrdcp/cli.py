@@ -168,9 +168,11 @@ def _write(text, out=None):
 
 
 def _check_out(out):
-    """Raise now what ``open(out, "w")`` would if out's directory is missing."""
+    """Raise now what ``open(out, "w")`` would on a directory or no parent."""
     if out and not os.path.exists(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _emit(payload, out=None):

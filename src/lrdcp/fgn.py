@@ -43,8 +43,8 @@ STREAM_EXPERIMENT = 2
 #: stream ids lie in [0, 2**15), so a key's high word stays below 2**63
 _STREAM_BOUND = 1 << 15
 
-#: master seeds lie in [0, SEED_LIMIT): NumPy converts a larger seed word
-#: of a list key through float64, so such seeds would share their draws
+#: master seeds lie in [0, SEED_LIMIT), the package's interface: --seed,
+#: the specs, the tables' seed rule and drawn seeds all use this range
 SEED_LIMIT = 1 << 63
 
 

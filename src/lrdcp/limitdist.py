@@ -283,11 +283,11 @@ def simulate_chunk(tasks):
     and a group of one sampler takes the chunk in one slab.  A slab's
     list of blocks is never named, so it dies with its last sampler's
     scoring: while the next slab is drawn, only that sampler's block of
-    the previous slab is still alive.  Each task
-    scores the rows of its sampler's slab below its ``hi``; a shifted
-    task scores a shifted copy of them, except its sampler's last task,
-    which shifts the slab itself.  Every value is a pure function of its
-    task.
+    the previous slab is still alive.  Each task scores the rows of its
+    sampler's slab below its ``hi`` straight into the array it returns;
+    a shifted task scores a shifted copy of them, except its sampler's
+    last task, which shifts the slab itself.  Every value is a pure
+    function of its task.
     """
     first = tasks[0]
     by_sampler = {}
@@ -298,7 +298,7 @@ def simulate_chunk(tasks):
     top = max(task.hi for task in tasks)
     lengths = [n for _, n in by_sampler]
     slab = max(1, (top - first.lo) * max(lengths) // sum(lengths))
-    pieces = {task: [] for task in tasks}
+    out = {task: np.empty(task.hi - task.lo) for task in tasks}
     for lo in range(first.lo, top, slab):
         for block, own in zip(
             sample_fgn_block(group, first.master_seed,
@@ -313,9 +313,9 @@ def simulate_chunk(tasks):
                     if i < len(own) - 1:
                         series = series.copy()
                     series[:, task.change_index:] += task.shift
-                pieces[task].append(batch_tn_from_values(
-                    series, *task.k_range, use_ranks=task.use_ranks))
-    return [np.concatenate(pieces[task]) for task in tasks]
+                out[task][lo - first.lo :][: len(series)] = (
+                    batch_tn_from_values(series, *task.k_range, task.use_ranks))
+    return [out[task] for task in tasks]
 
 
 def simulate_cells(cells):

@@ -196,15 +196,6 @@ def _unit_scaled(values):
     return np.ldexp(values, -exponent)
 
 
-def _tn_rows(values, k_lo, k_hi, use_ranks):
-    """T_n of each row of one (rows, n) block of a batch."""
-    if use_ranks:
-        values = rankdata(values)
-    d, num_scale = deviation_rows(values, use_ranks)
-    gn, _ = _gn_matrix(d, k_lo, k_hi, num_scale)
-    return gn.max(axis=-1)
-
-
 def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
     """T_n of each row of a (batch, n) value matrix; the hot loop.
 
@@ -218,12 +209,15 @@ def batch_tn_from_values(values, k_lo, k_hi, use_ranks):
     values = np.asarray(values, dtype=np.float64)
     batch, n = values.shape
     block = max(1, _parallel.BLOCK_BYTES // (8 * (n + 1)))
-    return np.concatenate(
-        [
-            _tn_rows(values[lo : lo + block], k_lo, k_hi, use_ranks)
-            for lo in range(0, batch, block)
-        ]
-    )
+    out = np.empty(batch)
+    for lo in range(0, batch, block):
+        rows = values[lo : lo + block]
+        if use_ranks:
+            rows = rankdata(rows)
+        d, num_scale = deviation_rows(rows, use_ranks)
+        gn, _ = _gn_matrix(d, k_lo, k_hi, num_scale)
+        out[lo : lo + block] = gn.max(axis=-1)
+    return out
 
 
 def _result_from_deviations(d, window, tie_flag, critical_value,

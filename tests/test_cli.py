@@ -820,30 +820,47 @@ class TestExperimentCommand:
         assert "power experiments must have delta != 0" in last
 
 
-class TestOutDirectory:
-    """A missing --out directory fails before any table is read, simulated
-    or drawn."""
+OUT_COMMANDS = pytest.mark.parametrize("argv", [
+    ["test", "--input", "<data>", "--hurst", "0.7", "--seed", "1"],
+    ["critical-values", "--hurst", "0.7", "--reps", "2000", "--seed", "1"],
+    ["experiment", "--kind", "power", "--delta", "1", "--hurst", "0.7",
+     "--n", "500", "--reps", "2000", "--seed", "1"],
+    ["generate-fgn", "--hurst", "0.7", "--length", "1000", "--seed", "1"],
+], ids=["test", "critical-values", "experiment", "generate-fgn"])
 
-    @pytest.mark.parametrize("argv", [
-        ["test", "--input", "<data>", "--hurst", "0.7", "--seed", "1"],
-        ["critical-values", "--hurst", "0.7", "--reps", "2000", "--seed", "1"],
-        ["experiment", "--kind", "power", "--delta", "1", "--hurst", "0.7",
-         "--n", "500", "--reps", "2000", "--seed", "1"],
-        ["generate-fgn", "--hurst", "0.7", "--length", "1000", "--seed", "1"],
-    ], ids=["test", "critical-values", "experiment", "generate-fgn"])
-    def test_missing_out_directory_fails_before_simulating(
-            self, argv, data_file, tmp_path, monkeypatch, capsys):
+
+class TestOutDirectory:
+    """An --out that open() would refuse (a missing directory, or one that
+    names a directory) fails before any table is read, simulated or
+    drawn."""
+
+    def last_error(self, argv, out, data_file, monkeypatch, capsys):
         calls = []
         for name in ("critical_values", "run_experiments", "sample_fgn"):
             monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
-        out = tmp_path / "missing" / "x.out"
         argv = [str(data_file) if arg == "<data>" else arg for arg in argv]
         assert main(argv + ["--out", str(out)]) == 1
         assert calls == []
-        assert capsys.readouterr().err.splitlines()[-1] == (
+        return capsys.readouterr().err.splitlines()[-1]
+
+    @OUT_COMMANDS
+    def test_missing_out_directory_fails_before_simulating(
+            self, argv, data_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "x.out"
+        assert self.last_error(argv, out, data_file, monkeypatch, capsys) == (
             f"error: [Errno 2] No such file or directory: '{out}'"
         )
         assert not (tmp_path / "missing").exists()
+
+    @OUT_COMMANDS
+    def test_directory_out_fails_before_simulating(
+            self, argv, data_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert self.last_error(argv, out, data_file, monkeypatch, capsys) == (
+            f"error: [Errno 21] Is a directory: '{out}'"
+        )
+        assert list(out.iterdir()) == []
 
 
 class TestConfigFile:

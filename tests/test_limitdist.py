@@ -16,8 +16,8 @@ from lrdcp import (
     simulate_limit_values,
     upper_quantile,
 )
-from lrdcp.fgn import (STREAM_LIMIT, FgnParams, build_sampler, sample_fgn,
-                       sample_fgn_block)
+from lrdcp.fgn import (STREAM_EXPERIMENT, STREAM_LIMIT, FgnParams,
+                       build_sampler, sample_fgn, sample_fgn_block)
 from lrdcp.limitdist import SimChunk, simulate_chunk
 from lrdcp.sntest import TestWindow as Window  # alias: keep pytest from collecting it
 from lrdcp.sntest import batch_tn_from_values
@@ -200,6 +200,21 @@ class TestSharedNormals:
         assert len(starts) == 17
         excess = max(starts[1:]) - starts[0]
         assert excess < slab * count * n * 8 / 2
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"stream": STREAM_EXPERIMENT, "use_ranks": True, "shift": 1.0,
+         "change_index": 50},
+    ], ids=["limit", "shifted-ranks"])
+    def test_a_repeated_task_gets_its_own_values_twice(self, fields):
+        n = 100
+        task = SimChunk(hurst=0.7, n=n, k_range=Window().split_range(n),
+                        master_seed=5, lo=0, hi=200, **fields)
+        alone = simulate_chunk((task,))[0]
+        twice = simulate_chunk((task, task))
+        assert len(twice) == 2
+        for values in twice:
+            assert values.tobytes() == alone.tobytes()
 
 
 class TestUpperQuantile:

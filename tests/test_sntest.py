@@ -188,6 +188,35 @@ class TestDegenerateCases:
         assert result.degenerate_flag
         assert result.argmax_k == 1
 
+    @pytest.mark.parametrize("beside_zero_row", [False, True],
+                             ids=["alone", "beside-a-zero-row"])
+    def test_threshold_has_den_tol_scale(self, beside_zero_row):
+        # a one-split profile c*d0 whose denominator c^2 D0 sits on the
+        # rule (d_k^2 + 1) * DEN_TOL * n: scaled 1e-6 below c it is
+        # degenerate, 1e-6 above it is not.  Alone the block bound
+        # decides; beside an all-zero row, which fails the bound, the
+        # per-split scan does
+        n, k = 10, 5
+        d0 = np.zeros(n + 1)
+        d0[1:] = np.cumsum(np.random.default_rng(3).normal(size=n))
+        d0[n] = 0.0
+        t = np.arange(n + 1)
+        resid = np.where(t <= k, d0 - t / k * d0[k],
+                         d0 - (n - t) / (n - k) * d0[k])
+        tol = sntest.DEN_TOL * n
+        c = np.sqrt(tol / (np.sum(resid**2) - d0[k] ** 2 * tol))
+        assert c == pytest.approx(4.96e-7, rel=1e-3)
+        unscaled = sntest._gn_matrix(d0[np.newaxis], k, k)[0][0, 0]
+        assert unscaled == pytest.approx(0.5543, abs=5e-5)
+        zeros = [np.zeros(n + 1)] if beside_zero_row else []
+        for factor, flagged in [(1 - 1e-6, True), (1 + 1e-6, False)]:
+            gn, flags = sntest._gn_matrix(
+                np.array([c * factor * d0] + zeros), k, k)
+            assert flags.tolist() == [flagged] + [True] * len(zeros)
+            expected = np.inf if flagged else pytest.approx(unscaled, rel=1e-12)
+            assert gn[0, 0] == expected
+            assert gn[1:].tolist() == [[0.0]] * len(zeros)
+
     def test_rejection_fields_default_to_none(self):
         result = tn_statistic(TimeSeries(np.random.default_rng(1).normal(size=50)))
         assert result.critical_value is None
@@ -236,6 +265,12 @@ class TestBatchKernel:
         for row in range(6):
             single = sn_cusum_statistic(TimeSeries(values[row]))
             assert batch[row] == single.statistic
+
+    @pytest.mark.parametrize("use_ranks", [True, False])
+    def test_empty_batch_gives_empty_array(self, use_ranks):
+        values = batch_tn_from_values(np.empty((0, 50)), 7, 42, use_ranks)
+        assert values.dtype == np.float64
+        assert values.shape == (0,)
 
 
 def rows_per_block(n):
